@@ -4,8 +4,6 @@
 // Paper reference points (64 cores): 3x+1 51.8, mandelbrot 33.6, md 31.9
 // for C. Expected shape: near-linear growth, a plateau from 32 to 63 CPUs
 // (64 chunks, so at least two run back-to-back) and a jump at 64.
-#include <thread>
-
 #include "bench/common.h"
 
 int main(int argc, char** argv) {
@@ -19,10 +17,10 @@ int main(int argc, char** argv) {
     std::printf("FIG 3 (measured) — absolute speedup, compute-intensive\n");
     std::printf("%-11s %-6s %-9s %-9s %-9s\n", "benchmark", "cpus", "Ts(s)",
                 "Tn(s)", "speedup");
-    double worst_best = 1e9;  // the worst per-workload best speedup
+    SpeedupGate gate;
     for (BenchWorkload& w : ws) {
       workloads::SeqRun seq = w.seq();
-      double best = 1.0;
+      gate.begin_workload(w.name);
       for (int n : args.measured_cpus) {
         if (n == 1) {
           std::printf("%-11s %-6d %-9.3f %-9.3f %-9.2f\n", w.name.c_str(), 1,
@@ -32,28 +30,16 @@ int main(int argc, char** argv) {
         workloads::SpecRun r = w.spec(n, ForkModel::kMixed, 0.0);
         check_checksum(w, r.checksum, seq.checksum);
         double speedup = seq.seconds / r.seconds;
-        if (speedup > best) best = speedup;
+        gate.add_row(speedup);
         std::printf("%-11s %-6d %-9.3f %-9.3f %-9.2f\n", w.name.c_str(), n,
                     seq.seconds, r.seconds, speedup);
       }
-      if (best < worst_best) worst_best = best;
+      gate.end_workload();
     }
     // The compute-intensive group is the paper's headline: on a real
-    // multi-core box every workload must beat sequential at its best CPU
-    // count. A box with fewer than 4 hardware threads can't run enough
-    // truly parallel speculative threads for the assertion to be
-    // meaningful, so it reports skipped instead of a vacuous failure.
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw < 4) {
-      std::printf("SPEEDUP-GATE fig=3 status=skipped hw_threads=%u\n", hw);
-    } else if (worst_best >= 1.05) {
-      std::printf("SPEEDUP-GATE fig=3 status=ok worst_best=%.2f\n",
-                  worst_best);
-    } else {
-      std::printf("SPEEDUP-GATE fig=3 status=fail worst_best=%.2f floor=1.05\n",
-                  worst_best);
-      gate_failed = true;
-    }
+    // multi-core box every workload must beat sequential at its best
+    // multi-CPU count.
+    gate_failed = gate.report(3, 1.05);
   }
 
   if (args.sim) {

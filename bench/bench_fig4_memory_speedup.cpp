@@ -5,8 +5,6 @@
 // bh 6.55. Expected shape: modest speedups saturating well below the
 // compute-intensive curves, with matmult the lowest (rollbacks) and
 // nqueen/tsp/bh the best of the group.
-#include <thread>
-
 #include "bench/common.h"
 
 int main(int argc, char** argv) {
@@ -21,10 +19,10 @@ int main(int argc, char** argv) {
     std::printf("FIG 4 (measured) — absolute speedup, memory-intensive\n");
     std::printf("%-11s %-6s %-9s %-9s %-9s %-9s\n", "benchmark", "cpus",
                 "Ts(s)", "Tn(s)", "speedup", "rollbacks");
-    double worst_best = 1e9;  // the worst per-workload best speedup
+    SpeedupGate gate;
     for (BenchWorkload& w : ws) {
       workloads::SeqRun seq = w.seq();
-      double best = 1.0;
+      gate.begin_workload(w.name);
       for (int n : args.measured_cpus) {
         if (n == 1) {
           std::printf("%-11s %-6d %-9.3f %-9.3f %-9.2f %-9d\n",
@@ -34,30 +32,19 @@ int main(int argc, char** argv) {
         workloads::SpecRun r = w.spec(n, ForkModel::kMixed, 0.0);
         check_checksum(w, r.checksum, seq.checksum);
         double speedup = seq.seconds / r.seconds;
-        if (speedup > best) best = speedup;
+        gate.add_row(speedup);
         std::printf("%-11s %-6d %-9.3f %-9.3f %-9.2f %-9llu\n",
                     w.name.c_str(), n, seq.seconds, r.seconds, speedup,
                     static_cast<unsigned long long>(
                         r.stats.speculative.rollbacks));
       }
-      if (best < worst_best) worst_best = best;
+      gate.end_workload();
     }
     // The memory-intensive group saturates low (paper maxima 2.01–6.55),
     // so the floor only rules out a pathological slowdown: speculation
     // plus rollbacks must not cost more than ~30% over sequential at the
-    // workload's best CPU count. Meaningless under 4 hardware threads —
-    // report skipped there rather than asserting into the noise.
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw < 4) {
-      std::printf("SPEEDUP-GATE fig=4 status=skipped hw_threads=%u\n", hw);
-    } else if (worst_best >= 0.70) {
-      std::printf("SPEEDUP-GATE fig=4 status=ok worst_best=%.2f\n",
-                  worst_best);
-    } else {
-      std::printf("SPEEDUP-GATE fig=4 status=fail worst_best=%.2f floor=0.70\n",
-                  worst_best);
-      gate_failed = true;
-    }
+    // workload's best multi-CPU count.
+    gate_failed = gate.report(4, 0.70);
   }
 
   if (args.sim) {

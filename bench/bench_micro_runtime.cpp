@@ -90,7 +90,7 @@ void attach_buffer_counters(benchmark::State& state, const RunStats& rs) {
   state.counters["validated_words"] =
       Counter(static_cast<double>(b.validated_words), Counter::kAvgIterations);
   state.counters["avg_probe_len"] = b.avg_probe_length();
-  // Access-path tier counters: aligned-word fast-path uses, MRU word-view
+  // Access-path tier counters: aligned-word fast-path uses, word-view
   // cache hits/misses and the set probes those hits skipped.
   state.counters["fastpath_hits"] =
       Counter(static_cast<double>(b.fastpath_hits), Counter::kAvgIterations);
@@ -120,20 +120,37 @@ void attach_buffer_counters(benchmark::State& state, const RunStats& rs) {
 
 void BM_BufferedLoadStore(benchmark::State& state) {
   // Measures the speculative access path: each iteration forks one
-  // speculation doing a fixed batch of buffered read-modify-writes (the
-  // fork/join round trip amortizes over the batch), once per SpecBuffer
-  // backend (arg: 0 = static-hash, 1 = growable-log, 2 = adaptive,
-  // 3 = numa-sharded).
+  // speculation doing a fixed batch of buffered accesses (the fork/join
+  // round trip amortizes over the batch), once per SpecBuffer backend
+  // (arg backend: 0 = static-hash, 1 = growable-log, 2 = adaptive,
+  // 3 = numa-sharded). Arg reread picks the access pattern:
+  //   0 — read-modify-writes sweeping 1024 words, each word touched four
+  //       times per batch (the load+store locality of `a[i] += x`);
+  //   1 — loads only, re-reading a 512-word footprint that fits the
+  //       word-view cache eight times per batch (the pattern of md's
+  //       position reads): after the first sweep every load is a hit.
   auto backend = static_cast<BufferBackend>(state.range(0));
+  const bool reread = state.range(1) != 0;
   constexpr int64_t kBatch = 4096;
+  constexpr size_t kRereadWords = 512;
   Runtime rt({.num_cpus = 1, .buffer_log2 = 16, .buffer_backend = backend});
   SharedArray<uint64_t> data(rt, 1024, 0);
+  SharedArray<uint64_t> sink(rt, 1, 0);
   RunStats warm;
   auto body = [&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
       SharedSpan<uint64_t> d = data.span(c);
-      for (int64_t k = 0; k < kBatch; ++k) {
-        d[static_cast<size_t>(k) & 1023] += 1;
+      if (reread) {
+        uint64_t sum = 0;
+        for (int64_t k = 0; k < kBatch; ++k) {
+          sum += d[static_cast<size_t>(k) % kRereadWords];
+        }
+        benchmark::DoNotOptimize(sum);
+        sink.span(c)[0] = sum;
+      } else {
+        for (int64_t k = 0; k < kBatch; ++k) {
+          d[static_cast<size_t>(k) & 1023] += 1;
+        }
       }
     });
     rt.join(ctx, s);
@@ -149,11 +166,8 @@ void BM_BufferedLoadStore(benchmark::State& state) {
   state.counters["alloc_events"] = steady_alloc_events(rs, warm);
 }
 BENCHMARK(BM_BufferedLoadStore)
-    ->ArgNames({"backend"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
+    ->ArgNames({"backend", "reread"})
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 void BM_BufferedLargeFootprint(benchmark::State& state) {
   // A speculative footprint larger than the configured table (2^8 slots,

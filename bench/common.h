@@ -14,6 +14,7 @@
 //        --no-measured  skip the measured section
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -252,6 +253,62 @@ inline sim::Simulator::Options sim_opts(int total_cpus, ForkModel model,
   o.rollback_probability = rollback_p;
   return o;
 }
+
+// The measured speedup gate of fig3/fig4: every workload's best speedup
+// over its *multi-CPU* rows must reach the figure's floor. The one-CPU row
+// is the sequential run by construction and never counts, so a workload
+// without a multi-CPU row is reported as such instead of passing. A box
+// with fewer than 4 hardware threads cannot run enough truly parallel
+// speculative threads for the floor to mean anything: it reports skipped.
+class SpeedupGate {
+ public:
+  void begin_workload(const std::string& name) {
+    name_ = name;
+    best_ = -1.0;
+  }
+  void add_row(double speedup) { best_ = std::max(best_, speedup); }
+  void end_workload() {
+    if (best_ < 0.0) {
+      missing_.push_back(name_);
+    } else {
+      worst_best_ = std::min(worst_best_, best_);
+    }
+  }
+
+  // Prints the SPEEDUP-GATE verdict line; returns true when the gate
+  // failed.
+  bool report(int fig, double floor) const {
+    unsigned hw = std::thread::hardware_concurrency();
+    if (hw < 4) {
+      std::printf("SPEEDUP-GATE fig=%d status=skipped hw_threads=%u\n", fig,
+                  hw);
+      return false;
+    }
+    if (!missing_.empty()) {
+      std::string names;
+      for (const std::string& n : missing_) {
+        names += (names.empty() ? "" : ",") + n;
+      }
+      std::printf("SPEEDUP-GATE fig=%d status=no-multi-cpu-row workloads=%s\n",
+                  fig, names.c_str());
+      return true;
+    }
+    if (worst_best_ >= floor) {
+      std::printf("SPEEDUP-GATE fig=%d status=ok worst_best=%.2f\n", fig,
+                  worst_best_);
+      return false;
+    }
+    std::printf("SPEEDUP-GATE fig=%d status=fail worst_best=%.2f floor=%.2f\n",
+                fig, worst_best_, floor);
+    return true;
+  }
+
+ private:
+  std::string name_;
+  double best_ = -1.0;
+  double worst_best_ = 1e9;  // the worst per-workload best speedup
+  std::vector<std::string> missing_;
+};
 
 inline void check_checksum(const BenchWorkload& w, uint64_t got,
                            uint64_t want) {

@@ -13,6 +13,7 @@
 // re-exported by the "mutls/mutls.h" umbrella.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -67,8 +68,7 @@ class Ctx {
         return out;
       }
     }
-    td_->sbuf.load_bytes(a, &out, sizeof(T));
-    if (td_->sbuf.doomed()) throw SpecAbort{td_->sbuf.doom_reason()};
+    load_generic(a, &out, sizeof(T));
     return out;
   }
 
@@ -91,8 +91,7 @@ class Ctx {
         return;
       }
     }
-    td_->sbuf.store_bytes(a, &v, sizeof(T));
-    if (td_->sbuf.doomed()) throw SpecAbort{td_->sbuf.doom_reason()};
+    store_generic(a, &v, sizeof(T));
   }
 
   // Bulk transfers: move `count` contiguous T's through the speculative
@@ -164,12 +163,30 @@ class Ctx {
 
  private:
   friend class Runtime;
-  Ctx(Runtime& rt, ThreadData& td) : rt_(&rt), td_(&td) {}
+  Ctx(Runtime& rt, ThreadData& td);  // defined in "api/spec.h"
 
-  void check_registered(uintptr_t a, size_t n);
+  // Wild-access check (paper IV-G1), run on every speculative access:
+  // inline when the span cache proves [a, a+n) registered under the
+  // current address-space epoch, the out-of-line lookup otherwise.
+  void check_registered(uintptr_t a, size_t n) {
+    if (space_epoch_->load(std::memory_order_acquire) == span_epoch_) {
+      for (int i = 0; i < kSpanCache; ++i) {
+        if (a >= span_lo_[i] && a + n <= span_hi_[i]) return;
+      }
+    }
+    check_registered_slow(a, n);
+  }
+  void check_registered_slow(uintptr_t a, size_t n);
+
+  // The byte-splitting path of load/store (unaligned or odd-sized types),
+  // out of line so the aligned-word path stays small enough to inline at
+  // every access site.
+  void load_generic(uintptr_t a, void* out, size_t n);
+  void store_generic(uintptr_t a, const void* src, size_t n);
 
   Runtime* rt_;
   ThreadData* td_;
+  const std::atomic<uint64_t>* space_epoch_;  // the manager's epoch word
   // Small cache of recent address-space lookups: workloads typically touch
   // a handful of registered arrays in rotation, so a few entries remove
   // the shared-mutex lookup from the speculative hot path entirely.

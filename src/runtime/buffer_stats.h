@@ -24,10 +24,10 @@ struct SpecBufferStats {
   uint64_t validated_words = 0;  // read-set words compared at validation
   uint64_t fastpath_hits = 0;    // aligned-word accesses that skipped the
                                  // byte-splitting loop (SpecBuffer level)
-  uint64_t mru_hits = 0;         // word-view resolutions served by the MRU
-                                 // slot cache (backend level)
+  uint64_t mru_hits = 0;         // word-view resolutions served by the
+                                 // word-view cache without probing
   uint64_t mru_misses = 0;       // resolutions that had to probe the sets
-  uint64_t probe_skips = 0;      // set probes the MRU hits avoided
+  uint64_t probe_skips = 0;      // set probes the cache hits avoided
   uint64_t backend_flips = 0;    // adaptive: this speculation started on a
                                  // freshly flipped backend (the flipped
                                  // *state* persists per slot; the counter,

@@ -22,57 +22,7 @@ void BufferMap::init(int log2_entries, size_t overflow_cap, bool with_marks,
   stats_ = stats;
 }
 
-BufferMap::Find BufferMap::find_or_insert(uintptr_t word_addr, Slot& out) {
-  MUTLS_DCHECK((word_addr & kWordMask) == 0, "unaligned word address");
-  size_t idx = slot_index(word_addr);
-  if (stats_) ++stats_->probe_ops;
-  if (addresses_[idx] == word_addr) {
-    out.data = &buffer_[idx];
-    out.mark = marks_ ? &marks_[idx] : nullptr;
-    out.table_index = static_cast<uint32_t>(idx);
-    return Find::kFound;
-  }
-  if (addresses_[idx] == 0) {
-    addresses_[idx] = word_addr;
-    buffer_[idx] = 0;
-    if (marks_) marks_[idx] = 0;
-    offsets_.push_back(static_cast<uint32_t>(idx));
-    out.data = &buffer_[idx];
-    out.mark = marks_ ? &marks_[idx] : nullptr;
-    out.table_index = static_cast<uint32_t>(idx);
-    return Find::kInserted;
-  }
-  // Slot collision: the paper's "temporary buffer" path. The linear scan is
-  // this map's probe sequence.
-  for (OverflowEntry& e : overflow_) {
-    if (stats_) ++stats_->probe_steps;
-    if (e.word_addr == word_addr) {
-      out.data = &e.data;
-      out.mark = marks_ ? &e.mark : nullptr;
-      out.table_index = kNoSlot;
-      return Find::kFound;
-    }
-  }
-  if (overflow_.size() >= overflow_cap_) {
-    return Find::kFull;
-  }
-  overflow_.push_back(OverflowEntry{word_addr, 0, 0});
-  out.data = &overflow_.back().data;
-  out.mark = marks_ ? &overflow_.back().mark : nullptr;
-  out.table_index = kNoSlot;
-  return Find::kInserted;
-}
-
-bool BufferMap::find(uintptr_t word_addr, Slot& out) {
-  size_t idx = slot_index(word_addr);
-  if (stats_) ++stats_->probe_ops;
-  if (addresses_[idx] == word_addr) {
-    out.data = &buffer_[idx];
-    out.mark = marks_ ? &marks_[idx] : nullptr;
-    out.table_index = static_cast<uint32_t>(idx);
-    return true;
-  }
-  if (addresses_[idx] == 0) return false;
+bool BufferMap::overflow_find(uintptr_t word_addr, Slot& out) {
   for (OverflowEntry& e : overflow_) {
     if (stats_) ++stats_->probe_steps;
     if (e.word_addr == word_addr) {
@@ -83,6 +33,19 @@ bool BufferMap::find(uintptr_t word_addr, Slot& out) {
     }
   }
   return false;
+}
+
+BufferMap::Find BufferMap::overflow_find_or_insert(uintptr_t word_addr,
+                                                   Slot& out) {
+  if (overflow_find(word_addr, out)) return Find::kFound;
+  if (overflow_.size() >= overflow_cap_) {
+    return Find::kFull;
+  }
+  overflow_.push_back(OverflowEntry{word_addr, 0, 0});
+  out.data = &overflow_.back().data;
+  out.mark = marks_ ? &overflow_.back().mark : nullptr;
+  out.table_index = kNoSlot;
+  return Find::kInserted;
 }
 
 void BufferMap::clear() {
@@ -96,46 +59,6 @@ void GlobalBuffer::init(int log2_entries, size_t overflow_cap,
   stats_ = stats;
   read_set_.init(log2_entries, overflow_cap, /*with_marks=*/false, stats);
   write_set_.init(log2_entries, overflow_cap, /*with_marks=*/true, stats);
-}
-
-WordRef GlobalBuffer::find_read(uintptr_t word_addr) {
-  BufferMap::Slot s;
-  return read_set_.find(word_addr, s) ? as_ref(s) : WordRef{};
-}
-
-WordRef GlobalBuffer::find_write(uintptr_t word_addr) {
-  BufferMap::Slot s;
-  return write_set_.find(word_addr, s) ? as_ref(s) : WordRef{};
-}
-
-WordRef GlobalBuffer::insert_read(uintptr_t word_addr, bool& inserted,
-                                  bool merging) {
-  BufferMap::Slot s;
-  switch (read_set_.find_or_insert(word_addr, s)) {
-    case BufferMap::Find::kFound:
-      inserted = false;
-      return as_ref(s);
-    case BufferMap::Find::kInserted:
-      inserted = true;
-      return as_ref(s);
-    case BufferMap::Find::kFull:
-    default:
-      doom(merging ? "read-set overflow while adopting a child commit"
-                   : "read-set overflow buffer full");
-      ++stats_->overflow_events;
-      return WordRef{};
-  }
-}
-
-WordRef GlobalBuffer::insert_write(uintptr_t word_addr, bool merging) {
-  BufferMap::Slot s;
-  if (write_set_.find_or_insert(word_addr, s) == BufferMap::Find::kFull) {
-    doom(merging ? "write-set overflow while adopting a child commit"
-                 : "write-set overflow buffer full");
-    ++stats_->overflow_events;
-    return WordRef{};
-  }
-  return as_ref(s);
 }
 
 void GlobalBuffer::reset() {

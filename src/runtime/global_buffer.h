@@ -18,11 +18,11 @@
 //
 // This class provides only the word-granular slot primitives (WordRef in
 // "runtime/memory.h"): find/insert into either set, handle-indexed access
-// for MRU-cached slots, and the set walks. Everything with policy in it —
-// the byte-level load/store splitting, the speculative view composition,
-// the MRU word-view cache state machine, validation, commit and the
-// tree-form merge (including read-adoption policy) — lives once in
-// SpecBuffer, generic over the backend primitives. Only static-table slots
+// for word-view-cached slots, and the set walks. Everything with policy in
+// it — the byte-level load/store splitting, the speculative view
+// composition, the word-view cache, validation, commit and the tree-form
+// merge (including read-adoption policy) — lives once in SpecBuffer,
+// generic over the backend primitives. Only static-table slots
 // hand out cacheable handles (their storage never moves); overflow
 // residents always take the probing path.
 #pragma once
@@ -64,11 +64,38 @@ class BufferMap {
 
   bool initialized() const { return addresses_ != nullptr; }
 
-  // Finds the slot for `word_addr`, inserting (zeroed) if absent.
-  Find find_or_insert(uintptr_t word_addr, Slot& out);
+  // Finds the slot for `word_addr`, inserting (zeroed) if absent. Inline,
+  // like find(): these are the word-view cache's miss path.
+  Find find_or_insert(uintptr_t word_addr, Slot& out) {
+    MUTLS_DCHECK((word_addr & kWordMask) == 0, "unaligned word address");
+    size_t idx = slot_index(word_addr);
+    if (stats_) ++stats_->probe_ops;
+    if (addresses_[idx] == word_addr) {
+      table_slot(idx, out);
+      return Find::kFound;
+    }
+    if (addresses_[idx] == 0) {
+      addresses_[idx] = word_addr;
+      buffer_[idx] = 0;
+      if (marks_) marks_[idx] = 0;
+      offsets_.push_back(static_cast<uint32_t>(idx));
+      table_slot(idx, out);
+      return Find::kInserted;
+    }
+    return overflow_find_or_insert(word_addr, out);
+  }
 
   // Finds without inserting; returns false if absent.
-  bool find(uintptr_t word_addr, Slot& out);
+  bool find(uintptr_t word_addr, Slot& out) {
+    size_t idx = slot_index(word_addr);
+    if (stats_) ++stats_->probe_ops;
+    if (addresses_[idx] == word_addr) {
+      table_slot(idx, out);
+      return true;
+    }
+    if (addresses_[idx] == 0) return false;
+    return overflow_find(word_addr, out);
+  }
 
   // Visits every occupied entry as fn(word_addr, data&, mark&).
   // `mark` references a dummy full mark when the map carries no marks.
@@ -82,7 +109,7 @@ class BufferMap {
     }
   }
 
-  // Direct static-table access for MRU-cached slots (index from
+  // Direct static-table access for word-view-cached slots (index from
   // Slot::table_index; stable for the life of the map).
   uint64_t& data_at(uint32_t idx) { return buffer_[idx]; }
   uint64_t& mark_at(uint32_t idx) { return marks_[idx]; }
@@ -104,6 +131,17 @@ class BufferMap {
   size_t slot_index(uintptr_t word_addr) const {
     return (word_addr >> 3) & mask_;
   }
+
+  void table_slot(size_t idx, Slot& out) {
+    out.data = &buffer_[idx];
+    out.mark = marks_ ? &marks_[idx] : nullptr;
+    out.table_index = static_cast<uint32_t>(idx);
+  }
+
+  // The slot-collision path: the paper's "temporary buffer", whose linear
+  // scan is this map's probe sequence.
+  bool overflow_find(uintptr_t word_addr, Slot& out);
+  Find overflow_find_or_insert(uintptr_t word_addr, Slot& out);
 
   std::unique_ptr<uint64_t[]> buffer_;
   std::unique_ptr<uintptr_t[]> addresses_;
@@ -131,8 +169,14 @@ class GlobalBuffer {
   // --- word-granular slot primitives (driven by SpecBuffer) ---
 
   // Lookups without insertion; .data is null when absent.
-  WordRef find_read(uintptr_t word_addr);
-  WordRef find_write(uintptr_t word_addr);
+  WordRef find_read(uintptr_t word_addr) {
+    BufferMap::Slot s;
+    return read_set_.find(word_addr, s) ? as_ref(s) : WordRef{};
+  }
+  WordRef find_write(uintptr_t word_addr) {
+    BufferMap::Slot s;
+    return write_set_.find(word_addr, s) ? as_ref(s) : WordRef{};
+  }
 
   // Lookup-or-insert. `inserted` reports a first touch (the caller loads
   // the main-memory word / applies first-value-wins). On overflow
@@ -140,12 +184,29 @@ class GlobalBuffer {
   // itself — with a merge-specific reason when `merging`, so a joiner's
   // rollback points at the adopted child commit rather than its own
   // access path.
-  WordRef insert_read(uintptr_t word_addr, bool& inserted, bool merging);
-  WordRef insert_write(uintptr_t word_addr, bool merging);
+  WordRef insert_read(uintptr_t word_addr, bool& inserted, bool merging) {
+    BufferMap::Slot s;
+    BufferMap::Find f = read_set_.find_or_insert(word_addr, s);
+    if (f == BufferMap::Find::kFull) {
+      overflow_doom(merging ? "read-set overflow while adopting a child commit"
+                            : "read-set overflow buffer full");
+      return WordRef{};
+    }
+    inserted = f == BufferMap::Find::kInserted;
+    return as_ref(s);
+  }
+  WordRef insert_write(uintptr_t word_addr, bool merging) {
+    BufferMap::Slot s;
+    if (write_set_.find_or_insert(word_addr, s) == BufferMap::Find::kFull) {
+      overflow_doom(merging ? "write-set overflow while adopting a child commit"
+                            : "write-set overflow buffer full");
+      return WordRef{};
+    }
+    return as_ref(s);
+  }
 
-  // Handle-indexed access for MRU-cached slots (handle = table index + 1,
-  // as handed out in WordRef::handle).
-  uint64_t read_data(uint32_t handle) { return read_set_.data_at(handle - 1); }
+  // Handle-indexed write-set access for word-view-cached slots (handle =
+  // table index + 1, as handed out in WordRef::handle).
   uint64_t& write_data(uint32_t handle) {
     return write_set_.data_at(handle - 1);
   }
@@ -191,6 +252,11 @@ class GlobalBuffer {
     return WordRef{s.data, s.mark,
                    s.table_index != BufferMap::kNoSlot ? s.table_index + 1
                                                        : 0};
+  }
+
+  void overflow_doom(const char* reason) {
+    doom(reason);
+    ++stats_->overflow_events;
   }
 
   BufferMap read_set_;

@@ -25,10 +25,10 @@
 //
 // Like the static hash, this class provides only the word-granular slot
 // primitives (WordRef in "runtime/memory.h"); the speculative view
-// composition, the MRU word-view cache, validation, commit and the
+// composition, the word-view cache, validation, commit and the
 // tree-form merge policy live once in SpecBuffer. The handles this backend
 // hands out are log positions — resize-stable, unlike entry pointers — so
-// they stay valid in SpecBuffer's MRU line across rehashes.
+// they stay valid in SpecBuffer's word-view cache across rehashes.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +83,7 @@ class GrowableSet {
 
   // Log positions (+1, 0 = none) are the resize-stable handle to an entry:
   // they survive both log reallocation and index rehashes, unlike raw
-  // pointers — which is what the unified MRU cache stores.
+  // pointers — which is what the word-view cache stores.
   uint32_t position_of(const Entry* e) const {
     return e ? static_cast<uint32_t>(e - log_) + 1 : 0;
   }
@@ -176,11 +176,9 @@ class GrowableLogBuffer {
   WordRef insert_read(uintptr_t word_addr, bool& inserted, bool merging);
   WordRef insert_write(uintptr_t word_addr, bool merging);
 
-  // Handle-indexed access for MRU-cached slots (handle = log position, as
-  // handed out in WordRef::handle; stable across resizes).
-  uint64_t read_data(uint32_t handle) {
-    return read_set_.at_position(handle).data;
-  }
+  // Handle-indexed write-set access for word-view-cached slots (handle =
+  // log position, as handed out in WordRef::handle; stable across
+  // resizes).
   uint64_t& write_data(uint32_t handle) {
     return write_set_.at_position(handle).data;
   }

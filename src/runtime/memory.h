@@ -76,14 +76,14 @@ inline uint64_t overlay_bytes(uint64_t base, uint64_t data, uint64_t mask) {
 
 // Reference to one buffered word, the return shape of every backend slot
 // primitive (find_read / find_write / insert_read / insert_write). This is
-// the contract the unified machinery in SpecBuffer — the MRU word-view
+// the contract the unified machinery in SpecBuffer — the word-view
 // cache, the view composition, the tree-form merge policy — is written
 // against, so both halves of the reference mean the same thing in every
 // backend:
 //   data/mark — storage of the entry; data == nullptr means "absent" from
 //               a find, "capacity exhausted, the backend has doomed
 //               itself" from an insert. mark is null for read-set refs.
-//   handle    — the backend's MRU-cacheable slot handle (+1; 0 = not
+//   handle    — the backend's cacheable slot handle (+1; 0 = not
 //               cacheable): a static-table index for the static hash
 //               (overflow residents move when the overflow vector grows,
 //               so they hand out 0), a resize-stable log position for the

@@ -16,7 +16,7 @@
 // and resize-stable log positions are inherited rather than rewritten.
 //
 // Like every backend this class is just a slot store: it exposes only the
-// word-granular WordRef primitives and the set walks; the MRU cache, view
+// word-granular WordRef primitives and the set walks; the word-view cache, view
 // composition, validation, commit and the tree-form merge policy live once
 // in SpecBuffer. Handles pack (shard, per-shard log position): positions
 // are resize-stable within their shard and a word's shard never changes,
@@ -92,11 +92,9 @@ class NumaShardedBuffer {
   WordRef insert_read(uintptr_t word_addr, bool& inserted, bool merging);
   WordRef insert_write(uintptr_t word_addr, bool merging);
 
-  // Handle-indexed access for MRU-cached slots (handle = shard/position
-  // pack, as handed out in WordRef::handle; stable across resizes).
-  uint64_t read_data(uint32_t handle) {
-    return shard_at(handle).read.at_position(handle & kPosMask).data;
-  }
+  // Handle-indexed write-set access for word-view-cached slots (handle =
+  // shard/position pack, as handed out in WordRef::handle; stable across
+  // resizes).
   uint64_t& write_data(uint32_t handle) {
     return shard_at(handle).write.at_position(handle & kPosMask).data;
   }

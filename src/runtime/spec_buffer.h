@@ -31,31 +31,45 @@
 // word-granular primitives
 //
 //   find_read / find_write / insert_read / insert_write   (-> WordRef)
-//   read_data / write_data / write_mark                   (by MRU handle)
+//   write_data / write_mark                               (by cached handle)
 //   for_each_read / for_each_write
 //   reset / doom / pressure / entry counts
 //
 // and every algorithm with policy in it is written once here, generic over
 // those primitives: the byte-splitting load/store loops, the speculative
 // view composition (write-set marked bytes over the read-set observation
-// over main memory), the MRU word-view cache state machine, validation
-// with word counting, commit, and the tree-form merge of paper IV-F
-// including its read-adoption policy (skip-if-covered-by-full-mark, first
-// value wins).
+// over main memory), the word-view cache, validation with word counting,
+// commit, and the tree-form merge of paper IV-F including its
+// read-adoption policy (skip-if-covered-by-full-mark, first value wins).
 //
 // Access-path tiers, fastest first:
+//   word-view cache hit — a direct-mapped cache of composed word views
+//     ("runtime/word_view_cache.h", 1024 lines) sits in front of every
+//     tier below. load_aligned probes it *before* the backend dispatch, so
+//     a repeated load is a tag compare, a load and a shift, inline in
+//     Ctx::load and exec::load_mem. Counted as mru_hits, plus the
+//     probe_skips the hit saved.
 //   load_aligned/store_aligned — naturally-aligned accesses of power-of-two
 //     size <= 8 (every Shared<T>/SharedSpan<T> scalar): one word-view
 //     resolution plus a shift, no byte-splitting loop. Counted as
 //     fastpath_hits.
 //   load_span/store_span — bulk transfers: one dispatch and doom check per
-//     span, one probe per *word* (not per element), full interior words
-//     move as whole words.
+//     span, one cache probe (and on a miss one set probe) per *word*, not
+//     per element; full interior words move as whole words.
 //   load_bytes/store_bytes — the fully generic entry (any size, any
 //     alignment), now a span of length one access.
-// Below all three sits the one MRU word-view cache (shared by the
-// backends, keyed on their handles), so consecutive touches of the same
-// words skip the hash probes too.
+//
+// Coherence of the word-view cache. A line is filled from a resolved miss
+// (never when the buffer is doomed, so a capacity-doom fallback value is
+// never cached), and by a store that leaves its word fully written. Stores
+// write through: a cached word's view takes the stored bytes, and the
+// line's write handle skips the insert_write probe. Everything else that
+// changes the sets behind the cache empties it: reset(), rearm(),
+// activate() and init(), merge_into() on the joiner, and every doom — so
+// a doomed buffer never serves a hit and the next access reaches the
+// caller's doom check. The size is a constant chosen for the L1d
+// footprint rather than tuned per workload: a miss costs the same probes
+// as an uncached resolution, so no workload needs a different size.
 //
 // The double dispatch in validate_against/merge_into makes the join-time
 // pairings generic, so buffers of *different* backends compose — which is
@@ -84,6 +98,7 @@
 #include "runtime/memory.h"
 #include "runtime/numa_sharded_buffer.h"
 #include "runtime/value_predictor.h"
+#include "runtime/word_view_cache.h"
 #include "support/arena.h"
 #include "support/check.h"
 
@@ -224,7 +239,7 @@ class SpecBuffer {
     } else {
       static_hash_.init(log2_, overflow_cap_, &stats_);
     }
-    mru_invalidate();
+    view_cache_.clear();
   }
 
   // The configured backend (what the embedding asked for)...
@@ -247,8 +262,11 @@ class SpecBuffer {
     (void)size;  // only the high bytes the caller ignores depend on it
     ++stats_.fastpath_hits;
     uintptr_t word_addr = addr & ~kWordMask;
-    return dispatch([&](auto& b) { return word_view(b, word_addr); }) >>
-           (8 * (addr - word_addr));
+    uint64_t view = 0;
+    if (!cached_view(word_addr, view)) {
+      view = dispatch([&](auto& b) { return word_view_miss(b, word_addr); });
+    }
+    return view >> (8 * (addr - word_addr));
   }
 
   void store_aligned(uintptr_t addr, uint64_t value, size_t size) {
@@ -378,9 +396,9 @@ class SpecBuffer {
 
   // Validates the read-set against a speculative joiner's buffered view.
   // Probes the joiner's maps (address order buys nothing there) but keeps
-  // the branchless XOR accumulation. Peeks never touch the joiner's MRU
-  // line: they run on the joiner's buffer from *this* thread at the flag
-  // barrier.
+  // the branchless XOR accumulation. Peeks never touch the joiner's
+  // word-view cache: they run on the joiner's buffer from *this* thread at
+  // the flag barrier.
   bool validate_against(SpecBuffer& joiner) {
     return dispatch([&](auto& b) {
       return joiner.dispatch([&](auto& j) {
@@ -456,9 +474,9 @@ class SpecBuffer {
   // Capacity exhaustion in the joiner dooms it through the backend's
   // merge-specific reason (insert_*'s `merging` flag).
   void merge_into(SpecBuffer& joiner) {
-    // Adoption mutates the joiner's sets behind its MRU line (and runs at
-    // the flag barrier, not on the access hot path): drop it wholesale.
-    joiner.mru_invalidate();
+    // Adoption mutates the joiner's sets behind its word-view cache (and
+    // runs at the flag barrier, not on the access hot path): empty it.
+    joiner.view_cache_.clear();
     dispatch([&](auto& b) {
       joiner.dispatch([&](auto& j) {
         b.for_each_write(
@@ -490,7 +508,7 @@ class SpecBuffer {
     // before the entry counts vanish.
     footprint_hwm_ = std::max(footprint_hwm_,
                               std::max(read_entries(), write_entries()));
-    mru_invalidate();
+    view_cache_.clear();
     predicted_.clear();
     dispatch([](auto& b) { b.reset(); });
   }
@@ -526,7 +544,10 @@ class SpecBuffer {
   const char* doom_reason() const {
     return dispatch([](const auto& b) { return b.doom_reason(); });
   }
+  // Dooming empties the word-view cache: a doomed buffer serves no hit,
+  // so its next access reaches the caller's doom check.
   void doom(const char* reason) {
+    view_cache_.clear();
     dispatch([&](auto& b) { b.doom(reason); });
   }
 
@@ -556,78 +577,47 @@ class SpecBuffer {
   const ValuePredictor& predictor() const { return predictor_; }
 
  private:
-  // --- the unified MRU word-view cache + view composition ---
-  //
-  // One line caching the most recently resolved word view, shared by both
-  // backends and parameterized on their handle accessors: mru_r_/mru_w_
-  // hold the backend's WordRef::handle for the word's read-/write-set slot
-  // (+1 encoded by the backend; 0 = not yet resolved), with kWriteAbsent
-  // marking a word *proven* absent from the write set. 1 is an impossible
-  // word address. Handles are only ever interpreted by the backend that
-  // produced them: the line is invalidated on reset(), and adaptive flips
-  // happen strictly after a reset, so a handle can never cross backends.
-  // Consecutive touches of the same word — the load+store pair of every
-  // read-modify-write, sub-word sweeps through one word — skip the hash
-  // probes entirely; the miss path pays one compare and a three-word
-  // refresh, so streaming patterns that never repeat a word lose nothing.
-  static constexpr uint32_t kWriteAbsent = 0xffffffffu;
+  // --- the word-view cache + view composition ---
 
-  void mru_invalidate() {
-    mru_addr_ = 1;
-    mru_r_ = 0;
-    mru_w_ = 0;
+  // Serves the view of `word_addr` from the word-view cache; false on a
+  // miss (the caller resolves it through the backend).
+  bool cached_view(uintptr_t word_addr, uint64_t& view) {
+    const WordViewCache::Line& l = view_cache_.line(word_addr);
+    if (!WordViewCache::holds(l, word_addr)) return false;
+    ++stats_.mru_hits;
+    stats_.probe_skips += WordViewCache::probes_saved(l);
+    view = l.view;
+    return true;
   }
 
   // The thread's current view of one whole word: write-set marked bytes
-  // over the read-set observation over main memory. First touch inserts
-  // the word into the read-set; capacity exhaustion dooms the thread (via
-  // the backend's insert_read) and falls back to the main-memory value.
+  // over the read-set observation over main memory.
   template <typename B>
   uint64_t word_view(B& b, uintptr_t word_addr) {
-    if (word_addr == mru_addr_) {
-      // Serve entirely from the cached handles when the line knows
-      // everything the probing path would re-derive.
-      if (mru_w_ != 0 && mru_w_ != kWriteAbsent) {
-        uint64_t mark = b.write_mark(mru_w_);
-        if (mark == kFullMark) {
-          ++stats_.mru_hits;
-          ++stats_.probe_skips;
-          return b.write_data(mru_w_);
-        }
-        if (mru_r_ != 0) {
-          ++stats_.mru_hits;
-          stats_.probe_skips += 2;
-          return overlay_bytes(b.read_data(mru_r_), b.write_data(mru_w_),
-                               mark);
-        }
-      } else if (mru_w_ == kWriteAbsent && mru_r_ != 0) {
-        ++stats_.mru_hits;
-        stats_.probe_skips += 2;
-        return b.read_data(mru_r_);
-      }
-    }
-    ++stats_.mru_misses;
-    // Keep whatever half of the line is still valid when re-resolving the
-    // same word (e.g. a read after a store that only knew the write slot).
-    uint32_t mr = word_addr == mru_addr_ ? mru_r_ : 0;
+    uint64_t view = 0;
+    if (cached_view(word_addr, view)) return view;
+    return word_view_miss(b, word_addr);
+  }
 
+  // Resolves a view the cache does not hold and caches it. First touch
+  // inserts the word into the read-set; capacity exhaustion dooms the
+  // thread (via the backend's insert_read) and falls back to the
+  // main-memory value, which is never cached.
+  template <typename B>
+  uint64_t word_view_miss(B& b, uintptr_t word_addr) {
+    ++stats_.mru_misses;
     WordRef w = b.find_write(word_addr);
-    uint32_t mw = w.data ? w.handle : kWriteAbsent;
     if (w.data && *w.mark == kFullMark) {
-      mru_addr_ = word_addr;
-      mru_r_ = mr;
-      mru_w_ = mw;
+      if (!b.doomed()) view_cache_.fill(word_addr, *w.data, w.handle, true);
       return *w.data;
     }
 
     bool inserted = false;
     WordRef r = b.insert_read(word_addr, inserted, /*merging=*/false);
     if (!r.data) {
-      // Capacity doom (the backend already doomed itself): fall back to
-      // the main-memory value; nothing stable to cache.
       uint64_t base = atomic_word_load(word_addr);
       if (w.data) base = overlay_bytes(base, *w.data, *w.mark);
-      mru_invalidate();
+      view_cache_.clear();  // the backend just doomed itself
       return base;
     }
     if (inserted) {
@@ -648,21 +638,21 @@ class SpecBuffer {
         *r.data = observed;
       }
     }
-    mru_addr_ = word_addr;
-    mru_r_ = r.handle;
-    mru_w_ = mw;
-    uint64_t base = *r.data;
+    uint64_t view = *r.data;
     if (w.data) {
       // Overlay the bytes this thread already wrote. `w` points into the
       // write set, untouched by the read-set insertion above.
-      base = overlay_bytes(base, *w.data, *w.mark);
+      view = overlay_bytes(view, *w.data, *w.mark);
     }
-    return base;
+    if (!b.doomed()) {
+      view_cache_.fill(word_addr, view, w.data ? w.handle : 0, false);
+    }
+    return view;
   }
 
-  // Like word_view but never inserts into the read-set and leaves the MRU
-  // line untouched (used when a speculative joiner's view is evaluated
-  // from the child's thread).
+  // Like word_view but never inserts into the read-set and leaves the
+  // word-view cache untouched (used when a speculative joiner's view is
+  // evaluated from the child's thread).
   template <typename B>
   static uint64_t word_peek(B& b, uintptr_t word_addr) {
     WordRef w = b.find_write(word_addr);
@@ -722,31 +712,43 @@ class SpecBuffer {
         mispredicted = true;
       }
     }
-    if (mispredicted && !b.doomed()) b.doom(kMispredictDoomReason);
+    if (mispredicted && !b.doomed()) doom(kMispredictDoomReason);
     return false;
   }
 
   // Overlays the bytes selected by `mask` onto the buffered word; dooms on
-  // capacity exhaustion (via the backend's insert_write).
+  // capacity exhaustion (via the backend's insert_write). Writes through
+  // to a cached view, whose write handle skips the insert_write probe.
   template <typename B>
   void word_write(B& b, uintptr_t word_addr, uint64_t value, uint64_t mask) {
-    if (word_addr == mru_addr_ && mru_w_ != 0 && mru_w_ != kWriteAbsent) {
+    WordViewCache::Line& l = view_cache_.line(word_addr);
+    const bool cached = WordViewCache::holds(l, word_addr);
+    uint32_t& handle = view_cache_.write_handle(word_addr);
+    WordRef w;
+    if (cached && handle != 0) {
       ++stats_.mru_hits;
       ++stats_.probe_skips;
-      uint64_t& d = b.write_data(mru_w_);
-      d = overlay_bytes(d, value, mask);
-      b.write_mark(mru_w_) |= mask;
-      return;
+      w = WordRef{&b.write_data(handle), &b.write_mark(handle), handle};
+    } else {
+      ++stats_.mru_misses;
+      w = b.insert_write(word_addr, /*merging=*/false);
+      if (!w.data) {
+        view_cache_.clear();  // capacity doom; the backend set the reason
+        return;
+      }
     }
-    ++stats_.mru_misses;
-    WordRef w = b.insert_write(word_addr, /*merging=*/false);
-    if (!w.data) return;  // capacity doom; the backend set the reason
     *w.data = overlay_bytes(*w.data, value, mask);
     *w.mark |= mask;
-    uint32_t mr = word_addr == mru_addr_ ? mru_r_ : 0;
-    mru_addr_ = word_addr;
-    mru_r_ = mr;
-    mru_w_ = w.handle;
+    const bool full = *w.mark == kFullMark;
+    if (cached) {
+      l.view = overlay_bytes(l.view, value, mask);
+      handle = w.handle;
+      if (full) l.tag |= WordViewCache::kFullWrite;
+    } else if (full && !b.doomed()) {
+      // A fully written word's view is its write-set data: cache it, so
+      // the load after a whole-word store hits.
+      view_cache_.fill(word_addr, *w.data, w.handle, true);
+    }
   }
 
   // --- adaptive backend selection (kAdaptive) ---
@@ -818,7 +820,8 @@ class SpecBuffer {
     active_ = target;
     // The target starts clean (it was reset when deactivated, but a flip
     // must never trust that); grown growable capacity is carried forward —
-    // clear() keeps the index.
+    // clear() keeps the index. No cached handle may cross backends.
+    view_cache_.clear();
     dispatch([](auto& b) { b.reset(); });
     if (target == BufferBackend::kGrowableLog && footprint_hint != 0) {
       // Seed the flipped slot at the footprint the static hash observed
@@ -836,10 +839,7 @@ class SpecBuffer {
   NumaShardedBuffer numa_sharded_;
   SpecBufferStats stats_;
   NumaPolicy numa_;
-
-  uintptr_t mru_addr_ = 1;
-  uint32_t mru_r_ = 0;  // read-set handle; 0 = unknown
-  uint32_t mru_w_ = 0;  // write-set handle; 0 = unknown; kWriteAbsent
+  WordViewCache view_cache_;
 
   // Adaptive state (kAdaptive only). Persists across rearm() — that is the
   // point: the *slot* learns, while the counters stay per-speculation.

@@ -238,8 +238,10 @@ class ThreadManager {
   // Bumped on every unregistration; per-Ctx span caches compare it so a
   // cached positive lookup cannot outlive the registration it proved
   // (memory can be unregistered mid-run, e.g. algorithm-local scratch).
-  uint64_t space_epoch() const {
-    return space_epoch_.load(std::memory_order_acquire);
+  // Each Ctx keeps a pointer to the word, so its inline span-cache check
+  // reads it without a call through the Runtime.
+  const std::atomic<uint64_t>* space_epoch_word() const {
+    return &space_epoch_;
   }
 
   // Number of speculative threads currently live.

@@ -10,7 +10,10 @@
 
 #include <array>
 #include <cstring>
+#include <string>
 
+#include "api/spec.h"
+#include "runtime/spec_abort.h"
 #include "runtime/thread_data.h"
 #include "support/prng.h"
 #include "tests/backend_param.h"
@@ -489,13 +492,12 @@ INSTANTIATE_TEST_SUITE_P(
 // --- fast-path / slow-path equivalence ---
 //
 // The aligned-word fast path (load_aligned/store_aligned), the bulk span
-// transfers and the backends' MRU word-view caches are pure shortcuts: a
+// transfers and the word-view cache are pure shortcuts: a
 // random mix of aligned, unaligned and word-straddling accesses routed
 // through them must leave byte-identical buffer state — and identical
 // validation outcomes and committed bytes — as the same mix through the
 // fully generic byte loop. The generic reference below issues every access
-// one byte at a time, which bypasses the aligned shortcut entirely (and
-// gives the MRU nothing reusable beyond a single word).
+// one byte at a time, which bypasses the aligned shortcut entirely.
 
 class SpecBufferEquivalence : public ::testing::TestWithParam<BufferBackend> {
  protected:
@@ -600,118 +602,304 @@ TEST_P(SpecBufferEquivalence, RandomAccessMixMatchesGenericByteLoop) {
       << "fast and generic commits leave different memory";
 }
 
-TEST_P(SpecBufferEquivalence, MruInvalidatedAcrossReset) {
-  alignas(8) uint64_t& x = arena_[0];
-  // Prime the MRU line: a store then a load of the same word is the
-  // load+store locality the cache exists for.
-  uint8_t v = 0xAB;
-  fast_store(reinterpret_cast<uintptr_t>(&x), &v, 1);
-  uint8_t out = 0;
-  fast_load(reinterpret_cast<uintptr_t>(&x), &out, 1);
-  ASSERT_EQ(out, 0xAB);
-
-  fast_.reset();
-  // The line must not survive the reset: the slot it named is gone. A
-  // post-reset load must re-observe main memory (fresh first touch), not
-  // serve the dead slot.
-  uint64_t hits_before = fast_.stats().mru_hits;
-  x = 0x1122334455667788ull;
-  uint64_t word = 0;
-  fast_load(reinterpret_cast<uintptr_t>(&x), reinterpret_cast<uint8_t*>(&word),
-            8);
-  EXPECT_EQ(word, 0x1122334455667788ull)
-      << "stale MRU line served a discarded slot after reset";
-  EXPECT_EQ(fast_.stats().mru_hits, hits_before)
-      << "the first post-reset touch cannot be an MRU hit";
-  EXPECT_EQ(fast_.read_entries(), 1u);
-}
-
-TEST_P(SpecBufferEquivalence, MruInvalidatedAcrossResetForSpeculation) {
-  // Same guarantee one layer up: re-arming a virtual-CPU slot
-  // (ThreadData::reset_for_speculation) resets the buffer and with it the
-  // MRU line, so a reused slot cannot leak a previous speculation's view.
-  ThreadData td;
-  td.sbuf.init(GetParam(), 8, 64);
-  td.lbuf.init(4);
-  alignas(8) uint64_t& x = arena_[1];
-  uint64_t v = 99;
-  td.sbuf.store_bytes(reinterpret_cast<uintptr_t>(&x), &v, 8);
-  uint64_t out = 0;
-  td.sbuf.load_bytes(reinterpret_cast<uintptr_t>(&x), &out, 8);
-  ASSERT_EQ(out, 99u);
-
-  td.reset_for_speculation(0, 0, 1, 0x5eed, 0.0);
-  x = 424242;
-  out = 0;
-  td.sbuf.load_bytes(reinterpret_cast<uintptr_t>(&x), &out, 8);
-  EXPECT_EQ(out, 424242u)
-      << "reused slot leaked the previous speculation's buffered view";
-  EXPECT_EQ(td.sbuf.stats().mru_hits, 0u)
-      << "clear_stats + reset must leave no pre-armed MRU hit";
-}
-
-// The MRU word-view cache is now ONE state machine in SpecBuffer,
-// parameterized on the backends' slot handles; walk it through every line
-// state deterministically and pin the exact hit/miss/skip accounting —
-// identical for every backend, since the machine no longer lives in them.
-TEST_P(SpecBufferEquivalence, MruStateMachineCoversEveryLineState) {
-  alignas(8) uint64_t x = 0x0807060504030201ull;
-  alignas(8) uint64_t y = 0xbbbbbbbbbbbbbbbbull;
-  auto addr = [](uint64_t& v) { return reinterpret_cast<uintptr_t>(&v); };
-  const SpecBufferStats& s = fast_.stats();
-
-  // 1. Partial-mark store: write-set miss, line learns the write handle.
-  uint8_t b = 0xAA;
-  fast_.store_span(addr(x), &b, 1);
-  EXPECT_EQ(s.mru_misses, 1u);
-  EXPECT_EQ(s.mru_hits, 0u);
-
-  // 2. Load of the same word: the line knows a *partial* write but no read
-  // slot yet -> miss path resolves the read slot, keeping the write half.
-  uint64_t out = fast_.load_aligned(addr(x), 8);
-  EXPECT_EQ(out, 0x08070605040302AAull) << "written byte over memory base";
-  EXPECT_EQ(s.mru_misses, 2u);
-
-  // 3. Load again: partial write + read slot both cached -> overlay hit.
-  out = fast_.load_aligned(addr(x), 8);
-  EXPECT_EQ(out, 0x08070605040302AAull);
-  EXPECT_EQ(s.mru_hits, 1u);
-  EXPECT_EQ(s.probe_skips, 2u);
-
-  // 4. Store through the cached write handle -> hit, one probe skipped.
-  fast_.store_aligned(addr(x), 0x1111111111111111ull, 8);
-  EXPECT_EQ(s.mru_hits, 2u);
-  EXPECT_EQ(s.probe_skips, 3u);
-
-  // 5. Load of a now fully-marked word -> served from the write slot.
-  out = fast_.load_aligned(addr(x), 8);
-  EXPECT_EQ(out, 0x1111111111111111ull);
-  EXPECT_EQ(s.mru_hits, 3u);
-  EXPECT_EQ(s.probe_skips, 4u);
-
-  // 6. Different, read-only word: miss, line proves the write absent...
-  out = fast_.load_aligned(addr(y), 8);
-  EXPECT_EQ(out, 0xbbbbbbbbbbbbbbbbull);
-  EXPECT_EQ(s.mru_misses, 3u);
-
-  // 7. ...so the repeat load is a read-only hit skipping both probes.
-  out = fast_.load_aligned(addr(y), 8);
-  EXPECT_EQ(out, 0xbbbbbbbbbbbbbbbbull);
-  EXPECT_EQ(s.mru_hits, 4u);
-  EXPECT_EQ(s.probe_skips, 6u);
-
-  // The shortcuts above must not have perturbed the sets themselves.
-  EXPECT_EQ(fast_.read_entries(), 2u);
-  EXPECT_EQ(fast_.write_entries(), 1u);
-  EXPECT_TRUE(fast_.validate_against_memory());
-}
-
 INSTANTIATE_TEST_SUITE_P(Backends, SpecBufferEquivalence,
                          ::testing::Values(BufferBackend::kStaticHash,
                                            BufferBackend::kGrowableLog,
                                            BufferBackend::kAdaptive,
                                            BufferBackend::kNumaSharded),
                          backend_test_name);
+
+// --- word-view cache coherence ---
+//
+// The direct-mapped word-view cache in front of every backend serves
+// repeated loads without probing the sets. It is a pure shortcut: each
+// case below pins one way its cached views could go stale — a store, a
+// merge, a doom, a re-armed slot, a capacity-doom fallback, a predicted
+// read — and checks the next access sees exactly what the sets hold.
+
+class SpecBufferViewCache : public ::testing::TestWithParam<BufferBackend> {
+ protected:
+  // Words 0..2 sit on distinct cache lines; word kLines shares word 0's.
+  static constexpr size_t kWords = WordViewCache::kLines + 1;
+
+  void SetUp() override {
+    buf_.init(GetParam(), 8, 64);
+    for (size_t i = 0; i < kWords; ++i) words_[i] = 0x0101010101010101ull * i;
+  }
+
+  uintptr_t addr(size_t i) const {
+    return reinterpret_cast<uintptr_t>(&words_[i]);
+  }
+
+  SpecBuffer buf_;
+  alignas(8) uint64_t words_[kWords];
+};
+
+// Walks a line through every state with exact hit/miss/skip accounting.
+// A hit credits the probes the miss path would have paid: find_write plus
+// insert_read (2), or find_write alone for a fully written word (1); a
+// store through a cached write handle skips its insert_write (1).
+TEST_P(SpecBufferViewCache, WalksEveryLineState) {
+  const uintptr_t x = addr(0), y = addr(1), z = addr(2), x2 = addr(kWords - 1);
+  words_[0] = 0x0807060504030201ull;
+  const SpecBufferStats& s = buf_.stats();
+  auto counts = [&](uint64_t hits, uint64_t misses, uint64_t skips) {
+    EXPECT_EQ(s.mru_hits, hits);
+    EXPECT_EQ(s.mru_misses, misses);
+    EXPECT_EQ(s.probe_skips, skips);
+  };
+
+  // 1. Partial store to an empty line: probes the write set; a partial
+  //    word's view still needs memory, so nothing is cached.
+  buf_.store_aligned(x, 0xAA, 1);
+  counts(0, 1, 0);
+  // 2. Load: miss, resolved over the partial write and cached with the
+  //    write handle.
+  EXPECT_EQ(buf_.load_aligned(x, 8), 0x08070605040302AAull);
+  counts(0, 2, 0);
+  // 3. Load again: hit on the overlay line.
+  EXPECT_EQ(buf_.load_aligned(x, 8), 0x08070605040302AAull);
+  counts(1, 2, 2);
+  // 4. Whole-word store through the cached handle: hit; the line is now
+  //    fully written.
+  buf_.store_aligned(x, 0x1111111111111111ull, 8);
+  counts(2, 2, 3);
+  // 5. Load of the fully written word: hit worth one probe.
+  EXPECT_EQ(buf_.load_aligned(x, 8), 0x1111111111111111ull);
+  counts(3, 2, 4);
+  // 6. Read-only word: miss, cached with no write handle...
+  EXPECT_EQ(buf_.load_aligned(y, 8), words_[1]);
+  counts(3, 3, 4);
+  // 7. ...so the repeat load is a hit worth two probes.
+  EXPECT_EQ(buf_.load_aligned(y, 8), words_[1]);
+  counts(4, 3, 6);
+  // 8. Store into the read-only line: the handle is unknown, so the store
+  //    probes (miss), writes through and the line learns the handle.
+  buf_.store_aligned(y + 1, 0xCC, 1);
+  counts(4, 4, 6);
+  const uint64_t y_view = (words_[1] & ~0xff00ull) | 0xCC00ull;
+  // 9. The written byte is visible from the line.
+  EXPECT_EQ(buf_.load_aligned(y, 8), y_view);
+  counts(5, 4, 8);
+  // 10. The next store reuses the learned handle.
+  buf_.store_aligned(y + 1, 0xDD, 1);
+  counts(6, 4, 9);
+  // 11. Whole-word store to an empty line: miss, cached as fully written.
+  buf_.store_aligned(z, 0x2222222222222222ull, 8);
+  counts(6, 5, 9);
+  // 12. The load after it hits.
+  EXPECT_EQ(buf_.load_aligned(z, 8), 0x2222222222222222ull);
+  counts(7, 5, 10);
+  // 13. A word sharing x's line evicts it...
+  EXPECT_EQ(buf_.load_aligned(x2, 8), words_[kWords - 1]);
+  counts(7, 6, 10);
+  // 14. ...so x misses again, and still resolves to its buffered write.
+  EXPECT_EQ(buf_.load_aligned(x, 8), 0x1111111111111111ull);
+  counts(7, 7, 10);
+
+  // The shortcuts must not have perturbed the sets themselves.
+  EXPECT_EQ(buf_.read_entries(), 3u);  // x, y, x2
+  EXPECT_EQ(buf_.write_entries(), 3u);  // x, y, z
+  EXPECT_TRUE(buf_.validate_against_memory());
+  buf_.commit_to_memory();
+  EXPECT_EQ(words_[0], 0x1111111111111111ull);
+  EXPECT_EQ(words_[1], (y_view & ~0xff00ull) | 0xDD00ull);
+  EXPECT_EQ(words_[2], 0x2222222222222222ull);
+}
+
+TEST_P(SpecBufferViewCache, SubWordStoreIntoCachedWordIsVisible) {
+  const uint64_t before = words_[1];
+  ASSERT_EQ(buf_.load_aligned(addr(1), 8), before);  // cached
+  buf_.store_aligned(addr(1) + 3, 0x5A, 1);
+  buf_.store_aligned(addr(1) + 6, 0x1234, 2);
+  const uint64_t want =
+      (before & ~0xffff0000ff000000ull) | 0x123400005A000000ull;
+  EXPECT_EQ(buf_.load_aligned(addr(1), 8), want);
+  EXPECT_EQ(buf_.load_aligned(addr(1) + 3, 1) & 0xff, 0x5Au);
+  EXPECT_EQ(buf_.load_aligned(addr(1) + 4, 4) & 0xffffffffull, want >> 32);
+  uint8_t span[3];
+  buf_.load_span(addr(1) + 2, span, 3);
+  EXPECT_EQ(span[1], 0x5A);
+  EXPECT_EQ(words_[1], before) << "stores stay buffered until commit";
+}
+
+TEST_P(SpecBufferViewCache, MergeIntoClearsTheJoinersView) {
+  SpecBuffer child;
+  child.init(GetParam(), 8, 64);
+  const uint64_t before = words_[1];
+  ASSERT_EQ(buf_.load_aligned(addr(1), 8), before);  // joiner caches it
+  child.store_aligned(addr(1), 0x77, 1);
+  child.store_aligned(addr(2), 0x88, 8);
+  ASSERT_TRUE(child.validate_against(buf_));
+  child.merge_into(buf_);
+  const uint64_t hits = buf_.stats().mru_hits;
+  EXPECT_EQ(buf_.load_aligned(addr(1), 8), (before & ~0xffull) | 0x77)
+      << "the joiner served its pre-merge view of a word the child wrote";
+  EXPECT_EQ(buf_.load_aligned(addr(2), 8), 0x88u);
+  EXPECT_EQ(buf_.stats().mru_hits, hits) << "merge must empty the cache";
+}
+
+TEST_P(SpecBufferViewCache, DoomedBufferServesNoHit) {
+  ASSERT_EQ(buf_.load_aligned(addr(1), 8), words_[1]);  // cached
+  buf_.doom("test doom");
+  const uint64_t hits = buf_.stats().mru_hits;
+  buf_.load_aligned(addr(1), 8);
+  buf_.load_aligned(addr(1), 8);
+  buf_.store_aligned(addr(2), 1, 8);
+  buf_.load_aligned(addr(2), 8);
+  EXPECT_EQ(buf_.stats().mru_hits, hits)
+      << "a doomed buffer must reach the caller's doom check every access";
+  EXPECT_TRUE(buf_.doomed());
+  EXPECT_STREQ(buf_.doom_reason(), "test doom");
+}
+
+TEST_P(SpecBufferViewCache, RearmedSlotNeverReturnsThePreviousView) {
+  ASSERT_EQ(buf_.load_aligned(addr(1), 8), words_[1]);
+  buf_.store_aligned(addr(2), 99, 8);
+  buf_.rearm();
+  words_[1] = 424242;
+  words_[2] = 515151;
+  EXPECT_EQ(buf_.load_aligned(addr(1), 8), 424242u)
+      << "a re-armed slot served the previous speculation's read";
+  EXPECT_EQ(buf_.load_aligned(addr(2), 8), 515151u)
+      << "a re-armed slot served the previous speculation's write";
+  EXPECT_EQ(buf_.stats().mru_hits, 0u);
+}
+
+TEST_P(SpecBufferViewCache, ClearedAcrossReset) {
+  buf_.store_aligned(addr(0), 0xAB, 1);
+  ASSERT_EQ(buf_.load_aligned(addr(0), 1) & 0xff, 0xABu);
+  buf_.reset();
+  words_[0] = 0x1122334455667788ull;
+  const uint64_t hits = buf_.stats().mru_hits;
+  EXPECT_EQ(buf_.load_aligned(addr(0), 8), 0x1122334455667788ull)
+      << "stale line served a discarded slot after reset";
+  EXPECT_EQ(buf_.stats().mru_hits, hits);
+  EXPECT_EQ(buf_.read_entries(), 1u);
+}
+
+TEST_P(SpecBufferViewCache, ClearedAcrossResetForSpeculation) {
+  // One layer up: re-arming a virtual-CPU slot
+  // (ThreadData::reset_for_speculation) empties the cache with the sets.
+  ThreadData td;
+  td.sbuf.init(GetParam(), 8, 64);
+  td.lbuf.init(4);
+  td.sbuf.store_aligned(addr(1), 99, 8);
+  ASSERT_EQ(td.sbuf.load_aligned(addr(1), 8), 99u);
+  td.reset_for_speculation(0, 0, 1, 0x5eed, 0.0);
+  words_[1] = 424242;
+  EXPECT_EQ(td.sbuf.load_aligned(addr(1), 8), 424242u)
+      << "reused slot leaked the previous speculation's buffered view";
+  EXPECT_EQ(td.sbuf.stats().mru_hits, 0u);
+}
+
+TEST_P(SpecBufferViewCache, PredictedReadCachesThePredictedView) {
+  constexpr uint64_t kStride = 7;
+  SpecBuffer buf;
+  buf.init(GetParam(), 8, 64, {}, GrowableSet::kMaxLog2, nullptr,
+           SpecPredictPolicy{.enabled = true,
+                             .confidence_threshold = 2,
+                             .stride_window = uint64_t{1} << 16,
+                             .table_log2 = 8});
+  // Three conflicting epochs train a confident stride entry.
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    ASSERT_EQ(buf.load_aligned(addr(1), 8), words_[1]);
+    words_[1] += kStride;
+    ASSERT_FALSE(buf.validate_against_memory());
+    buf.rearm();
+  }
+  const uint64_t predicted = words_[1] + kStride;
+  ASSERT_EQ(buf.load_aligned(addr(1), 8), predicted);
+  ASSERT_EQ(buf.stats().predicted_reads, 1u);
+  EXPECT_EQ(buf.load_aligned(addr(1), 8), predicted)
+      << "the repeat load must serve the adopted prediction, not memory";
+  EXPECT_EQ(buf.stats().mru_hits, 1u);
+  words_[1] += kStride;
+  EXPECT_TRUE(buf.validate_against_memory());
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SpecBufferViewCache,
+                         ::testing::Values(BufferBackend::kStaticHash,
+                                           BufferBackend::kGrowableLog,
+                                           BufferBackend::kAdaptive,
+                                           BufferBackend::kNumaSharded),
+                         backend_test_name);
+
+// A capacity doom falls back to the main-memory value, which must never be
+// cached: the word is in no set, so a later load cannot be served from one.
+TEST(SpecBufferViewCacheCapacity, DoomFallbackValueIsNeverCached) {
+  alignas(8) static uint64_t words[64];
+  for (BufferBackend backend :
+       {BufferBackend::kStaticHash, BufferBackend::kGrowableLog}) {
+    SCOPED_TRACE(buffer_backend_name(backend));
+    SpecBuffer tiny;
+    // 16 static slots with 2 overflow entries; a 2^4 growable hard cap.
+    tiny.init(backend, 4, 2, {}, /*growable_max_log2=*/4);
+    for (size_t i = 0; i < 64; ++i) words[i] = i;
+    size_t doomed_at = 0;
+    // Stride 16 words: every load collides in static slot 0.
+    for (size_t i = 0; i < 64 && !tiny.doomed(); ++i) {
+      size_t w = backend == BufferBackend::kStaticHash ? (i * 16) % 64 + i / 4
+                                                       : i;
+      EXPECT_EQ(tiny.load_aligned(reinterpret_cast<uintptr_t>(&words[w]), 8),
+                words[w]);
+      doomed_at = w;
+    }
+    ASSERT_TRUE(tiny.doomed());
+    const uint64_t hits = tiny.stats().mru_hits;
+    words[doomed_at] = 0xfeed;
+    EXPECT_EQ(
+        tiny.load_aligned(reinterpret_cast<uintptr_t>(&words[doomed_at]), 8),
+        0xfeedu)
+        << "the capacity-doom fallback value was cached";
+    EXPECT_EQ(tiny.stats().mru_hits, hits);
+  }
+}
+
+// The registration check runs before the cache on every access: a load of
+// the unregistered half of a word whose registered half is cached is still
+// a wild access.
+TEST(SpecBufferViewCacheCtx, UnregisteredHalfOfCachedWordDoomsAsWild) {
+  for (BufferBackend backend :
+       {BufferBackend::kStaticHash, BufferBackend::kGrowableLog,
+        BufferBackend::kAdaptive, BufferBackend::kNumaSharded}) {
+    SCOPED_TRACE(buffer_backend_name(backend));
+    Runtime::Options opts;
+    opts.num_cpus = 1;
+    opts.buffer_log2 = 10;
+    opts.buffer_backend = backend;
+    Runtime rt(opts);
+    alignas(8) static uint32_t halves[2];
+    halves[0] = 11;
+    halves[1] = 22;
+    rt.register_memory(&halves[0], sizeof(uint32_t));
+    std::string reason;
+    uint64_t hits = 0;
+    RunStats rs = rt.run([&](Ctx& ctx) {
+      Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+        EXPECT_EQ(c.load(&halves[0]), 11u);
+        EXPECT_EQ(c.load(&halves[0]), 11u);  // served by the cache
+        if (c.speculative()) {
+          hits = c.thread_data().sbuf.stats().mru_hits;
+          try {
+            c.load(&halves[1]);
+          } catch (const SpecAbort& a) {
+            reason = a.reason;
+            throw;
+          }
+          ADD_FAILURE() << "the wild half-word load did not doom";
+        }
+        EXPECT_EQ(c.load(&halves[1]), 22u);  // inline re-execution
+      });
+      ASSERT_TRUE(s.speculated());
+      EXPECT_EQ(rt.join(ctx, s), JoinOutcome::kRolledBack);
+    });
+    rt.unregister_memory(&halves[0], sizeof(uint32_t));
+    EXPECT_GE(hits, 1u) << "the registered half was never cached";
+    EXPECT_EQ(reason, "access outside the registered address space");
+    EXPECT_EQ(rs.speculative.rollbacks, 1u);
+  }
+}
 
 }  // namespace
 }  // namespace mutls

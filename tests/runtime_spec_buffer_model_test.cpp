@@ -2,7 +2,7 @@
 //
 // A plain std::map<offset, byte> reference model implements speculative
 // load/store/validate/commit at byte granularity — no hashing, no marks,
-// no word packing, no MRU cache, just the semantics: a load sees the
+// no word packing, no word-view cache, just the semantics: a load sees the
 // thread's own written bytes over its first observation of the containing
 // word over main memory; validation compares every observed word against
 // memory; commit publishes exactly the written bytes.
@@ -219,11 +219,19 @@ TEST_F(SpecBufferModelTest, RandomOpsMatchByteModelOnEveryBackend) {
 
     for (int epoch = 0; epoch < kEpochs; ++epoch) {
       SCOPED_TRACE(::testing::Message() << "epoch=" << epoch);
+      size_t last_off = 0, last_n = 8;
       for (int op = 0; op < kOpsPerEpoch; ++op) {
         size_t n = 1 + rng.next() % 16;  // aligned scalars, odd widths,
                                          // word straddles, two-word spans
         size_t off = rng.next() % (kArenaBytes - n);
-        if (rng.next() % 2 == 0) {
+        uint64_t kind = rng.next() % 4;
+        if (kind == 3) {
+          // Re-read the previous load's bytes: whatever stores landed in
+          // between, the repeat is served by the word-view cache.
+          off = last_off;
+          n = last_n;
+        }
+        if (kind < 2) {
           uint8_t data[16];
           for (size_t i = 0; i < n; ++i) {
             data[i] = static_cast<uint8_t>(rng.next());
@@ -231,6 +239,8 @@ TEST_F(SpecBufferModelTest, RandomOpsMatchByteModelOnEveryBackend) {
           for (Contestant& c : c_) c.store(off, data, n);
           model.store(off, data, n);
         } else {
+          last_off = off;
+          last_n = n;
           uint8_t want[16];
           model.load(off, want, n);
           for (Contestant& c : c_) {
@@ -253,6 +263,9 @@ TEST_F(SpecBufferModelTest, RandomOpsMatchByteModelOnEveryBackend) {
         // An unconfident predictor never adopts a read (trivially zero on
         // the prediction-disabled contestants too).
         ASSERT_EQ(c.buf.stats().predicted_reads, 0u) << c.name;
+        // The stream re-reads words, so the loads above compared the
+        // cache's views against the model, not only the probing path.
+        ASSERT_GT(c.buf.stats().mru_hits, 0u) << c.name;
       }
 
       // Identical validation outcomes: clean now, and under injected

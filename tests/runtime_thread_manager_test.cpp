@@ -871,13 +871,19 @@ TEST(NumaFreelist, ConcurrentWorkerClaimsStayDistinct) {
   // round is held live (spinning on `release`) until the whole round's
   // claims are recorded — a rank is only pushed back to its freelist
   // after release — so a set bit in the mask means exactly "handed out
-  // twice", never legal sequential reuse within the round.
+  // twice", never legal sequential reuse within the round. That premise
+  // needs every fork of the round to have been *attempted* before
+  // release: otherwise an early grandchild could settle and free its rank,
+  // and a late child's grandchild fork would legally re-claim it. Each
+  // child bumps `attempted` once its grandchild fork returns, and the root
+  // releases only after both have.
   ManagerConfig c = small_config(BufferBackend::kNumaSharded, 4);
   c.numa_nodes = 2;
   ThreadManager mgr(c);
   ThreadManager* m = &mgr;
   for (int round = 0; round < 25; ++round) {
     std::atomic<bool> release{false};
+    std::atomic<int> attempted{0};
     std::atomic<uint32_t> live_mask{0};
     std::atomic<int> double_claims{0};
     auto claim_bit = [&](int rank) {
@@ -894,11 +900,13 @@ TEST(NumaFreelist, ConcurrentWorkerClaimsStayDistinct) {
           claim_bit(gd.rank);
           while (!release.load()) std::this_thread::yield();
         });
+        attempted.fetch_add(1);
         while (!release.load()) std::this_thread::yield();
         if (g > 0) m->synchronize(td, td.children.back());
       });
       ASSERT_GT(r, 0);
     }
+    while (attempted.load() < 2) std::this_thread::yield();
     release = true;
     while (!mgr.root().children.empty()) {
       mgr.synchronize(mgr.root(), mgr.root().children.back());
