@@ -49,14 +49,6 @@ namespace {
 using namespace mutls;
 
 constexpr int kRatioPcts[] = {1, 5, 10, 20, 50, 100};
-constexpr BufferBackend kBackends[] = {BufferBackend::kStaticHash,
-                                       BufferBackend::kGrowableLog,
-                                       BufferBackend::kAdaptive,
-                                       BufferBackend::kNumaSharded};
-constexpr const char* kBackendNames[] = {"static-hash", "growable-log",
-                                         "adaptive", "numa-sharded"};
-static_assert(sizeof(kBackendNames) / sizeof(kBackendNames[0]) ==
-              sizeof(kBackends) / sizeof(kBackends[0]));
 
 constexpr size_t kColdWords = 64;
 constexpr uint64_t kHotInit = 1000;
@@ -178,11 +170,12 @@ int main(int argc, char** argv) {
   bool ok = true;
   int cells = 0;
   Stopwatch total;
-  for (size_t bi = 0; bi < sizeof(kBackends) / sizeof(kBackends[0]); ++bi) {
+  for (BufferBackend backend : kBufferBackends) {
+    const char* backend_name = buffer_backend_name(backend);
     for (int pct : kRatioPcts) {
       for (int predict = 0; predict <= 1; ++predict) {
         CellResult r;
-        ok &= run_cell(kBackends[bi], pct, predict != 0, epochs, &r);
+        ok &= run_cell(backend, pct, predict != 0, epochs, &r);
         double secs = static_cast<double>(r.wall_ns) * 1e-9;
         std::printf(
             "FIG11 backend=%s ratio_pct=%d predict=%s epochs=%" PRIu64
@@ -190,7 +183,7 @@ int main(int argc, char** argv) {
             " predicted_reads=%" PRIu64 " predictor_hits=%" PRIu64
             " predictor_mispredicts=%" PRIu64 " saved_rollbacks=%" PRIu64
             " wall_ns=%" PRIu64 " epochs_per_s=%.0f\n",
-            kBackendNames[bi], pct, predict ? "on" : "off", r.epochs,
+            backend_name, pct, predict ? "on" : "off", r.epochs,
             r.conflicts, r.commits, r.rollbacks, r.buffer.predicted_reads,
             r.buffer.predictor_hits, r.buffer.predictor_mispredicts,
             r.buffer.saved_rollbacks, r.wall_ns,
@@ -201,7 +194,7 @@ int main(int argc, char** argv) {
           std::fprintf(stderr,
                        "FIG11 FAIL: prediction counters leaked into a "
                        "predict=off cell (backend=%s ratio_pct=%d)\n",
-                       kBackendNames[bi], pct);
+                       backend_name, pct);
           ok = false;
         }
         if (predict && pct >= 20 && r.buffer.saved_rollbacks == 0) {
@@ -209,7 +202,7 @@ int main(int argc, char** argv) {
                        "FIG11 FAIL: predict=on saved no rollbacks at "
                        "ratio_pct=%d on backend=%s — the predictor never "
                        "converted a conflict into a commit\n",
-                       pct, kBackendNames[bi]);
+                       pct, backend_name);
           ok = false;
         }
       }

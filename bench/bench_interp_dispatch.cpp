@@ -132,15 +132,11 @@ int main(int argc, char** argv) {
   const exec::DispatchMode kModes[] = {exec::DispatchMode::kSwitch,
                                        exec::DispatchMode::kDirectThreaded,
                                        exec::DispatchMode::kCompiledRegion};
-  const BufferBackend kBackends[] = {BufferBackend::kStaticHash,
-                                     BufferBackend::kGrowableLog,
-                                     BufferBackend::kAdaptive,
-                                     BufferBackend::kNumaSharded};
 
   bool ok = true;
   for (const Kernel& k : kernels) {
     for (exec::DispatchMode mode : kModes) {
-      for (BufferBackend backend : kBackends) {
+      for (BufferBackend backend : kBufferBackends) {
         CellOut best;
         for (int r = 0; r < args.reps; ++r) {
           CellOut cur;

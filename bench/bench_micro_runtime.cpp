@@ -4,6 +4,8 @@
 // behind the paper's overhead discussion (section V-B).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "mutls/mutls.h"
 
 namespace {
@@ -12,10 +14,18 @@ using namespace mutls;
 
 // Warm-up fork/joins executed before the timed loop: enough for every
 // virtual-CPU slot to pay its arena segments, pool classes along the
-// growable doubling ladder, retired local frames — and for the adaptive
-// backend to cross its overflow threshold and flip. Past this point the
+// growable doubling ladder and retired local frames. Past this point the
 // runtime's zero-allocation steady-state invariant holds.
 constexpr int kAllocWarmup = 8;
+
+// The backend sweep axis: every BufferBackend, as benchmark args.
+std::vector<int64_t> backend_args() {
+  std::vector<int64_t> args;
+  for (BufferBackend b : kBufferBackends) {
+    args.push_back(static_cast<int64_t>(b));
+  }
+  return args;
+}
 
 // Steady-state heap-fallback allocations: everything after the warm-up
 // snapshot. Reported absolute (not per iteration) — the CI alloc budget
@@ -100,10 +110,6 @@ void attach_buffer_counters(benchmark::State& state, const RunStats& rs) {
       Counter(static_cast<double>(b.mru_misses), Counter::kAvgIterations);
   state.counters["probe_skips"] =
       Counter(static_cast<double>(b.probe_skips), Counter::kAvgIterations);
-  // Adaptive backend: speculations that started on a freshly flipped
-  // backend (0 for the fixed backends).
-  state.counters["backend_flips"] =
-      Counter(static_cast<double>(b.backend_flips), Counter::kAvgIterations);
   // Value prediction: all zero with prediction disabled (the default
   // here), but always *reported* — the bench_json micro gate fails when a
   // buffer-counter run stops carrying them, the same way it polices
@@ -122,8 +128,8 @@ void BM_BufferedLoadStore(benchmark::State& state) {
   // Measures the speculative access path: each iteration forks one
   // speculation doing a fixed batch of buffered accesses (the fork/join
   // round trip amortizes over the batch), once per SpecBuffer backend
-  // (arg backend: 0 = static-hash, 1 = growable-log, 2 = adaptive,
-  // 3 = numa-sharded). Arg reread picks the access pattern:
+  // (arg backend: the BufferBackend value). Arg reread picks the access
+  // pattern:
   //   0 — read-modify-writes sweeping 1024 words, each word touched four
   //       times per batch (the load+store locality of `a[i] += x`);
   //   1 — loads only, re-reading a 512-word footprint that fits the
@@ -167,15 +173,12 @@ void BM_BufferedLoadStore(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferedLoadStore)
     ->ArgNames({"backend", "reread"})
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
+    ->ArgsProduct({backend_args(), {0, 1}});
 
 void BM_BufferedLargeFootprint(benchmark::State& state) {
   // A speculative footprint larger than the configured table (2^8 slots,
   // 16K words touched): the static hash dooms and rolls back, the growable
   // log resizes and commits — this is the trade the backend choice buys.
-  // The adaptive backend shows the learning curve: it pays the static
-  // rollbacks until its slot crosses the overflow threshold, flips, and
-  // commits from then on (visible as rollbacks + backend_flips + commits).
   auto backend = static_cast<BufferBackend>(state.range(0));
   Runtime rt({.num_cpus = 1,
               .buffer_log2 = 8,
@@ -212,10 +215,7 @@ void BM_BufferedLargeFootprint(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferedLargeFootprint)
     ->ArgNames({"backend"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
+    ->ArgsProduct({backend_args()});
 
 void BM_LiveInTransfer(benchmark::State& state) {
   Runtime rt({.num_cpus = 1, .buffer_log2 = 10});

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <thread>
 
 #include "api/parallel.h"
@@ -193,14 +194,9 @@ int main(int argc, char** argv) {
   unsigned hw = std::max(2u, std::thread::hardware_concurrency());
   if (args.cpus > static_cast<int>(hw)) args.cpus = static_cast<int>(hw);
 
-  const BufferBackend backends[] = {BufferBackend::kStaticHash,
-                                    BufferBackend::kGrowableLog,
-                                    BufferBackend::kAdaptive,
-                                    BufferBackend::kNumaSharded};
   const double skews[] = {0.0, 1.1};
   const int batch_sizes[] = {128, 512};
-  const uint64_t cells =
-      sizeof(backends) / sizeof(backends[0]) * 2 * 2;
+  const uint64_t cells = std::size(kBufferBackends) * 2 * 2;
   const uint64_t min_forks_per_cell =
       args.min_forks ? (args.min_forks + cells - 1) / cells : 0;
 
@@ -216,7 +212,7 @@ int main(int argc, char** argv) {
   uint64_t total_forks = 0;
   double total_duration = 0.0;
   uint64_t total_allocs = 0;
-  for (BufferBackend backend : backends) {
+  for (BufferBackend backend : kBufferBackends) {
     for (double s : skews) {
       for (int batch : batch_sizes) {
         Cell cell{backend, s, batch};
@@ -242,7 +238,7 @@ int main(int argc, char** argv) {
             "p99_ns=%llu p999_ns=%llu commits=%llu rollbacks=%llu "
             "doom_rate=%.4f malformed=%llu get_hits=%llu get_misses=%llu "
             "puts=%llu evictions=%llu alloc_events=%llu overflow_events=%llu "
-            "resize_events=%llu backend_flips=%llu predict=%s "
+            "resize_events=%llu predict=%s "
             "predicted_reads=%llu predictor_hits=%llu "
             "predictor_mispredicts=%llu saved_rollbacks=%llu\n",
             buffer_backend_name(backend), skew_name, batch, r.duration_s,
@@ -264,8 +260,6 @@ int main(int argc, char** argv) {
                 r.stats.speculative.buffer.overflow_events),
             static_cast<unsigned long long>(
                 r.stats.speculative.buffer.resize_events),
-            static_cast<unsigned long long>(
-                r.stats.speculative.buffer.backend_flips),
             args.predict ? "on" : "off",
             static_cast<unsigned long long>(
                 r.stats.speculative.buffer.predicted_reads),

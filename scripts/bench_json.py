@@ -12,19 +12,13 @@ Usage:
   scripts/bench_json.py --bench-dir build/bench [--out BENCH_results.json]
                         [--mode quick|full|paper] [--no-sim|--no-measured]
                         [--no-micro] [--no-ablation] [--no-sustained]
-                        [--no-fig11] [--no-numa] [--baseline OLD.json]
+                        [--no-fig11] [--baseline OLD.json]
 
 The rollback-sensitivity bench (bench_fig11_rollback_sensitivity) is no
 longer a prose figure: it sweeps a deterministic conflict kernel over
 {rollback ratio x backend x prediction on/off} and emits one FIG11 line
 per cell, parsed here into a validated fig11 section that fails loudly on
 any missing cell of the matrix.
-
-The NUMA scaling bench (bench_numa_scaling) contributes a numa_scaling
-section: per-node-count cells of the kNumaSharded store and the per-node
-idle freelists over faked topologies, validated for nonzero locality
-counters (shard routing, cross-node work-stealing claims) and a zero
-post-warm-up allocation count.
 
 The sustained-load serving bench (bench_sustained_load) contributes a
 sustained_load section: per-{backend x skew x batch} cells with req/s,
@@ -83,7 +77,7 @@ FIG11_CELL_KEYS = ("epochs", "conflicts", "commits", "rollbacks",
 # Google-Benchmark binaries whose buffered benches sweep the SpecBuffer
 # backends; their per-run counters (resize_events, avg_probe_len,
 # validated_words, overflow_events, fastpath_hits, mru_hits/misses,
-# probe_skips, backend_flips, the fork-latency ledger split) are the cost
+# probe_skips, the fork-latency ledger split) are the cost
 # breakdown behind any backend or hot-path comparison, so they ride along
 # in the JSON document. The ablation binary rides along too so a backend
 # perf regression trips the perf trajectory, not just correctness CI.
@@ -108,20 +102,7 @@ SUSTAINED_CELL_KEYS = ("duration_s", "req_per_s", "p50_ns", "p99_ns",
 # Every backend the swept benches must report. A backend silently missing
 # from a sweep (dropped Arg, renamed label, dispatch regression) would
 # otherwise just shrink the document — fail loudly instead.
-EXPECTED_BACKENDS = ("static-hash", "growable-log", "adaptive",
-                     "numa-sharded")
-
-# NUMA scaling bench: the kNumaSharded store and the per-node idle
-# freelists swept over faked topology shapes, one "NUMA key=value ..."
-# line per node count. Validated into the numa_scaling section: every
-# node count must report, with nonzero shard routing everywhere, nonzero
-# work-stealing claims on the multi-node shapes, local commit words on
-# the single-shard shape, and a zero post-warm-up allocation count.
-NUMA_BENCH = "bench_numa_scaling"
-NUMA_NODE_COUNTS = (1, 2, 4)
-NUMA_CELL_KEYS = ("wall_s", "forks", "cross_node_claims",
-                  "shard_probe_steps", "local_commit_words", "commits",
-                  "rollbacks", "alloc_events")
+EXPECTED_BACKENDS = ("static-hash", "growable-log")
 
 # Execution-engine dispatch microbench: the native-kernel IR programs swept
 # over {dispatch mode x buffer backend}, one self-validating "DISPATCH
@@ -140,7 +121,7 @@ COUNTER_KEYS = (
     "items_per_second", "resize_events", "overflow_events",
     "validated_words", "avg_probe_len", "rollbacks", "commits",
     "fastpath_hits", "mru_hits", "mru_misses", "probe_skips",
-    "backend_flips", "alloc_events",
+    "alloc_events",
     "predicted_reads", "predictor_hits", "predictor_mispredicts",
     "saved_rollbacks",
     "find_cpu_ns", "fork_arm_ns", "fork_handoff_ns", "join_ns",
@@ -430,77 +411,6 @@ def run_dispatch(bench_dir: Path, timeout: int, quick: bool):
     return entry
 
 
-def run_numa(bench_dir: Path, timeout: int, quick: bool):
-    """Run the NUMA scaling sweep and validate its cell matrix.
-
-    Every faked node count must report a kNumaSharded cell with every
-    required field; the locality counters must prove the machinery
-    actually engaged (routing decisions everywhere, cross-node steals on
-    multi-node shapes) and the steady state must stay allocation-free.
-    A missing or mislabeled backend fails the run loudly: the section
-    exists to catch the sharded store falling out of the sweep.
-    """
-    exe = bench_dir / NUMA_BENCH
-    entry = {"bench": NUMA_BENCH, "status": "missing"}
-    if not exe.exists():
-        return entry
-    cmd = [str(exe)] + (["--quick"] if quick else [])
-    start = time.monotonic()
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=timeout)
-    except subprocess.TimeoutExpired:
-        entry["status"] = "timeout"
-        entry["seconds"] = round(time.monotonic() - start, 3)
-        return entry
-    entry["seconds"] = round(time.monotonic() - start, 3)
-    entry["exit_code"] = proc.returncode
-    cells = [parse_kv_line(line) for line in proc.stdout.splitlines()
-             if line.startswith("NUMA nodes=")]
-    entry["cells"] = cells
-    if proc.returncode != 0:
-        # The binary polices its own locality and allocation invariants.
-        entry["status"] = "failed"
-        entry["stderr"] = proc.stderr.splitlines()
-        return entry
-
-    problems = []
-    seen = {}
-    for c in cells:
-        if c.get("backend") != "numa-sharded":
-            problems.append(f"cell nodes={c.get('nodes')} reports backend "
-                            f"{c.get('backend')!r}, not numa-sharded")
-            continue
-        missing = [k for k in NUMA_CELL_KEYS if k not in c]
-        if missing:
-            problems.append(f"cell nodes={c.get('nodes')} missing {missing}")
-            continue
-        seen[c.get("nodes")] = c
-    missing_backend = False
-    for nodes in NUMA_NODE_COUNTS:
-        c = seen.get(nodes)
-        if c is None:
-            missing_backend = True
-            problems.append(f"numa-sharded cell for nodes={nodes} missing")
-            continue
-        if c["shard_probe_steps"] <= 0:
-            problems.append(f"nodes={nodes}: no shard routing recorded")
-        if nodes > 1 and c["cross_node_claims"] <= 0:
-            problems.append(f"nodes={nodes}: no work-stealing claims")
-        if nodes == 1 and c["local_commit_words"] <= 0:
-            problems.append("nodes=1: the single shard must commit locally")
-        if c["alloc_events"] != 0:
-            problems.append(f"nodes={nodes}: post-warm-up allocations")
-    if problems:
-        entry["status"] = "missing-backend" if missing_backend else "invalid"
-        entry["problems"] = problems
-        for p in problems:
-            print(f"[bench_json] {NUMA_BENCH}: {p}", file=sys.stderr)
-        return entry
-    entry["status"] = "ok"
-    return entry
-
-
 def run_fig11(bench_dir: Path, timeout: int, quick: bool):
     """Run the rollback-sensitivity sweep and validate its cell matrix.
 
@@ -630,9 +540,6 @@ def main() -> int:
     ap.add_argument("--no-fig11", action="store_true",
                     help="skip the rollback-sensitivity (value prediction) "
                          "sweep")
-    ap.add_argument("--no-numa", action="store_true",
-                    help="skip the NUMA scaling (sharded store + per-node "
-                         "freelist) sweep")
     ap.add_argument("--baseline", default=None,
                     help="previous BENCH_results.json whose hot-path rows "
                          "are embedded as the before of a before/after")
@@ -718,12 +625,6 @@ def main() -> int:
         entry = run_fig11(bench_dir, args.timeout, args.mode == "quick")
         results.append(entry)
         print(f"[bench_json] {FIG11_BENCH}: {entry['status']} "
-              f"({entry.get('seconds', 0)}s)", file=sys.stderr)
-
-    if not args.no_numa and not args.micro_only:
-        entry = run_numa(bench_dir, args.timeout, args.mode == "quick")
-        results.append(entry)
-        print(f"[bench_json] {NUMA_BENCH}: {entry['status']} "
               f"({entry.get('seconds', 0)}s)", file=sys.stderr)
 
     doc = {

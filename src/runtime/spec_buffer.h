@@ -1,9 +1,8 @@
-// SpecBuffer — the runtime's pluggable speculative-buffer backend API.
+// SpecBuffer — the runtime's speculative-buffer API.
 //
 // This is the contract between the speculation protocol (ThreadManager,
 // Ctx, the IR interpreter) and speculative memory buffering: everything
-// above the runtime talks to SpecBuffer, never to a concrete backend, so a
-// new buffering strategy is a drop-in backend rather than a rewrite.
+// above the runtime talks to SpecBuffer, never to a concrete backend.
 //
 // Backends (see BufferBackend in "runtime/enums.h"):
 //   kStaticHash  — the paper's static hash + bounded overflow map
@@ -12,20 +11,10 @@
 //   kGrowableLog — open-addressed growable index over an append-only log
 //                  ("runtime/growable_log_buffer.h"); capacity pressure
 //                  resizes instead of dooming.
-//   kAdaptive    — per-slot selection between the two: starts on
-//                  kStaticHash, flips to kGrowableLog after repeated
-//                  overflow events (and back once the footprint calms
-//                  down). The flip happens in rearm(), i.e. when the
-//                  owning virtual-CPU slot is re-armed for its next
-//                  speculation — never mid-speculation.
-//   kNumaSharded — per-node sub-stores split by address range
-//                  ("runtime/numa_sharded_buffer.h"); validation and
-//                  commit of large footprints stream one node-local
-//                  shard at a time. Resizes like kGrowableLog.
 //
-// Dispatch is static: the *active* backend enum is resolved when the slot
-// is (re-)armed, and every operation branches once to a fully inlined
-// backend body — no virtual call on the load/store hot path.
+// Dispatch is static: the backend enum is fixed at init(), and every
+// operation branches once to a fully inlined backend body — no virtual
+// call on the load/store hot path.
 //
 // The backends themselves are just slot stores: they expose the
 // word-granular primitives
@@ -64,18 +53,15 @@
 // never cached), and by a store that leaves its word fully written. Stores
 // write through: a cached word's view takes the stored bytes, and the
 // line's write handle skips the insert_write probe. Everything else that
-// changes the sets behind the cache empties it: reset(), rearm(),
-// activate() and init(), merge_into() on the joiner, and every doom — so
+// changes the sets behind the cache empties it: reset(), rearm(), init(),
+// merge_into() on the joiner, and every doom — so
 // a doomed buffer never serves a hit and the next access reaches the
 // caller's doom check. The size is a constant chosen for the L1d
 // footprint rather than tuned per workload: a miss costs the same probes
 // as an uncached resolution, so no workload needs a different size.
 //
 // The double dispatch in validate_against/merge_into makes the join-time
-// pairings generic, so buffers of *different* backends compose — which is
-// also what makes an adaptive tree with mixed-backend siblings work: a
-// flipped slot merges into (or validates against) an unflipped one through
-// the same two templates.
+// pairings generic, so buffers of different backends compose.
 //
 // Value prediction (PredictPolicy, off by default) is a policy layer over
 // the same primitives: a confident per-slot ValuePredictor entry lets a
@@ -87,7 +73,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 
@@ -96,7 +81,6 @@
 #include "runtime/global_buffer.h"
 #include "runtime/growable_log_buffer.h"
 #include "runtime/memory.h"
-#include "runtime/numa_sharded_buffer.h"
 #include "runtime/value_predictor.h"
 #include "runtime/word_view_cache.h"
 #include "support/arena.h"
@@ -104,64 +88,24 @@
 
 namespace mutls {
 
-// The adaptive flip policy (kAdaptive only; ignored otherwise). The two
-// knobs surface as ManagerConfig::adaptive_overflow_threshold /
-// adaptive_calm_hysteresis and ride the usual Options plumbing.
-// (Namespace-scope rather than nested: it appears as a default argument
-// of SpecBuffer::init, where a nested type's member initializers would
-// not be parsed yet.)
-struct SpecAdaptivePolicy {
-  // Cumulative overflow events on this slot (summed across speculations
-  // since the slot last ran on the static hash afresh) at which the slot
-  // flips to kGrowableLog at its next rearm().
-  uint64_t overflow_threshold = 4;
-  // Consecutive calm speculations — no resizes and a footprint that
-  // would sit at no more than half load in the static table — after
-  // which a flipped slot returns to kStaticHash. The hysteresis is what
-  // keeps one pathological speculation from permanently pinning the slot
-  // to the growable backend, without flapping on every quiet epoch.
-  uint64_t calm_hysteresis = 16;
-};
-
-// Shared view of one ThreadManager's adaptive fleet: how many of the
-// sibling virtual-CPU slots are currently running on kGrowableLog. Slots
-// update `flipped` from their own rearm() (relaxed — it is a hint, and
-// rearms of different slots already race benignly), and a slot still on
-// the static hash consults it to flip *proactively* once at least half
-// the fleet has flipped: in a uniform-footprint loop every slot hits the
-// same capacity wall, so the stragglers skip their own overflow-doom
-// learning curve. Owned by ThreadManager; standalone buffers pass none.
-struct SpecFleetView {
-  std::atomic<uint32_t> flipped{0};
-  uint32_t slots = 0;
-};
-
 class SpecBuffer {
   // The whole API funnels through these two: one predictable branch on the
-  // active-backend enum, then a fully inlined backend body. Defined before
-  // first use — their deduced return types must be visible to the inline
-  // methods below.
+  // backend enum, then a fully inlined backend body. Defined before first
+  // use — their deduced return types must be visible to the inline methods
+  // below.
   template <typename Fn>
   decltype(auto) dispatch(Fn&& fn) {
-    switch (active_) {
-      case BufferBackend::kGrowableLog: return fn(growable_log_);
-      case BufferBackend::kNumaSharded: return fn(numa_sharded_);
-      default: return fn(static_hash_);
-    }
+    if (backend_ == BufferBackend::kGrowableLog) return fn(growable_log_);
+    return fn(static_hash_);
   }
   template <typename Fn>
   decltype(auto) dispatch(Fn&& fn) const {
-    switch (active_) {
-      case BufferBackend::kGrowableLog: return fn(growable_log_);
-      case BufferBackend::kNumaSharded: return fn(numa_sharded_);
-      default: return fn(static_hash_);
-    }
+    if (backend_ == BufferBackend::kGrowableLog) return fn(growable_log_);
+    return fn(static_hash_);
   }
 
  public:
-  using AdaptivePolicy = SpecAdaptivePolicy;
   using PredictPolicy = SpecPredictPolicy;
-  using NumaPolicy = SpecNumaPolicy;
 
   // The doom reason a value-prediction mispredict is contained with —
   // distinct from capacity and conflict reasons so rollback attribution
@@ -179,31 +123,18 @@ class SpecBuffer {
   // Configures the selected backend. `log2_entries` sizes the table (the
   // static size for kStaticHash, the initial size for kGrowableLog);
   // `overflow_cap` bounds kStaticHash's temporary buffer and is ignored by
-  // kGrowableLog. kAdaptive starts on the static hash and initializes the
-  // growable log lazily at the first flip. `growable_max_log2` bounds the
-  // growable index (a memory bound; also the seam the hard-cap doom tests
-  // use). `arena`, when given (the owning virtual-CPU slot's arena), backs
-  // the growable arrays and the join-time sort scratch through its
-  // persistent pool; without one those fall back to the heap (standalone
-  // buffers in tests). `predict` enables the per-slot value predictor
-  // (table storage also from the arena pool); `fleet`, when given (by
-  // ThreadManager), lets kAdaptive slots coordinate proactive flips.
-  // `numa` configures kNumaSharded's address-range routing (shard count,
-  // region granularity, home shard) and is ignored by the other backends.
+  // kGrowableLog. `growable_max_log2` bounds the growable index (a memory
+  // bound; also the seam the hard-cap doom tests use). `arena`, when given
+  // (the owning virtual-CPU slot's arena), backs the growable arrays and
+  // the join-time sort scratch through its persistent pool; without one
+  // those fall back to the heap (standalone buffers in tests). `predict`
+  // enables the per-slot value predictor (table storage also from the
+  // arena pool).
   void init(BufferBackend backend, int log2_entries, size_t overflow_cap,
-            AdaptivePolicy policy = {},
             int growable_max_log2 = GrowableSet::kMaxLog2,
-            Arena* arena = nullptr, PredictPolicy predict = {},
-            SpecFleetView* fleet = nullptr, NumaPolicy numa = {}) {
-    configured_ = backend;
-    policy_ = policy;
+            Arena* arena = nullptr, PredictPolicy predict = {}) {
+    backend_ = backend;
     predict_ = predict;
-    numa_ = numa;
-    fleet_ = fleet;
-    log2_ = log2_entries;
-    overflow_cap_ = overflow_cap;
-    growable_max_log2_ = growable_max_log2;
-    arena_ = arena;
     scratch_.attach(arena);
     predicted_.attach(arena);
     predictor_.init(predict, arena);
@@ -217,36 +148,16 @@ class SpecBuffer {
       // alloc_events == 0 budget.
       predicted_.reserve(size_t{1} << predict.table_log2);
     }
-    overflow_score_ = 0;
-    calm_epochs_ = 0;
-    calm_reverted_ = false;
-    footprint_hwm_ = 0;
-    growable_ready_ = false;
-    if (backend == BufferBackend::kAdaptive) {
-      MUTLS_CHECK(policy_.overflow_threshold >= 1,
-                  "adaptive overflow threshold must be at least 1");
-      active_ = BufferBackend::kStaticHash;
+    if (backend_ == BufferBackend::kGrowableLog) {
+      growable_log_.init(log2_entries, overflow_cap, &stats_,
+                         growable_max_log2, arena);
     } else {
-      active_ = backend;
-    }
-    if (active_ == BufferBackend::kGrowableLog) {
-      growable_log_.init(log2_, overflow_cap_, &stats_, growable_max_log2_,
-                         arena_);
-      growable_ready_ = true;
-    } else if (active_ == BufferBackend::kNumaSharded) {
-      numa_sharded_.init(log2_, overflow_cap_, &stats_, growable_max_log2_,
-                         arena_, numa_);
-    } else {
-      static_hash_.init(log2_, overflow_cap_, &stats_);
+      static_hash_.init(log2_entries, overflow_cap, &stats_);
     }
     view_cache_.clear();
   }
 
-  // The configured backend (what the embedding asked for)...
-  BufferBackend backend() const { return configured_; }
-  // ...and the backend actually serving this slot right now (differs from
-  // backend() only for kAdaptive).
-  BufferBackend active_backend() const { return active_; }
+  BufferBackend backend() const { return backend_; }
 
   // --- speculative access path (runs on the owning speculative thread) ---
 
@@ -428,12 +339,6 @@ class SpecBuffer {
   // the set is large enough for the ordered walk to beat the sort.
   void commit_to_memory() {
     dispatch([&](auto& b) {
-      // Locality accounting only the sharded backend can provide: the
-      // words of this commit that stream from the slot's home shard.
-      // Detected structurally so the other backends pay nothing.
-      if constexpr (requires { b.local_write_words(); }) {
-        stats_.local_commit_words += b.local_write_words();
-      }
       auto commit_one = [](uintptr_t word_addr, uint64_t data, uint64_t mark) {
         if (mark == kFullMark) {
           atomic_word_store(word_addr, data);
@@ -504,38 +409,16 @@ class SpecBuffer {
   // and rearm(); the cost counters intentionally survive (the settle paths
   // read them after resetting).
   void reset() {
-    // Track the footprint high-water mark for the adaptive calm check
-    // before the entry counts vanish.
-    footprint_hwm_ = std::max(footprint_hwm_,
-                              std::max(read_entries(), write_entries()));
     view_cache_.clear();
     predicted_.clear();
     dispatch([](auto& b) { b.reset(); });
   }
 
   // Re-arms this buffer for the next speculation on its virtual-CPU slot:
-  // applies the adaptive flip decision (based on the finished
-  // speculation's counters), resets buffered state and zeroes the per-
-  // speculation counters. A flip is recorded in the *new* speculation's
-  // backend_flips counter — "this speculation started on a freshly flipped
-  // backend" — while the flipped state itself persists per slot.
+  // resets buffered state and zeroes the per-speculation counters.
   void rearm() {
-    // Capture the retiring speculation's footprint before deciding: in
-    // the standalone flow (no settle-time reset() preceding this call)
-    // the sets are still populated here, and the calm check below would
-    // otherwise compare against an empty high-water mark — flipping a
-    // busy slot back and flapping.
-    footprint_hwm_ = std::max(footprint_hwm_,
-                              std::max(read_entries(), write_entries()));
-    BufferBackend next = active_;
-    if (configured_ == BufferBackend::kAdaptive) next = adapt_next();
-    // The observed footprint seeds a flip target's capacity so the next
-    // speculation does not rediscover it through the doubling ladder.
-    const size_t flip_hint = footprint_hwm_;
     reset();
-    footprint_hwm_ = 0;
     clear_stats();
-    if (next != active_) activate(next, flip_hint);
   }
 
   bool doomed() const {
@@ -564,16 +447,14 @@ class SpecBuffer {
     return dispatch([](const auto& b) { return b.write_entries(); });
   }
 
-  // Cost-counter snapshot. One block per buffer, shared by whichever
-  // backend is active (so an adaptive flip never strands counters).
+  // Cost-counter snapshot. One block per buffer, written by the backend.
   // Survives reset(); zeroed by clear_stats()/rearm() when a virtual-CPU
   // slot is re-armed for a new speculation.
   const SpecBufferStats& stats() const { return stats_; }
   void clear_stats() { stats_.clear(); }
 
-  // The slot's value predictor (tests, diagnostics). Like the adaptive
-  // flip state it persists across rearm(): the slot learns across
-  // speculations.
+  // The slot's value predictor (tests, diagnostics). It persists across
+  // rearm(): the slot learns across speculations.
   const ValuePredictor& predictor() const { return predictor_; }
 
  private:
@@ -751,116 +632,15 @@ class SpecBuffer {
     }
   }
 
-  // --- adaptive backend selection (kAdaptive) ---
-
-  // The flip decision, evaluated in rearm() against the finished
-  // speculation's counters (they survive reset() until clear_stats()).
-  BufferBackend adapt_next() {
-    if (active_ == BufferBackend::kStaticHash) {
-      overflow_score_ += stats_.overflow_events;
-      if (overflow_score_ >= policy_.overflow_threshold) {
-        // Flipping on own evidence clears the calm-revert latch: the slot
-        // is eligible for fleet-following again once it re-earns a flip.
-        calm_reverted_ = false;
-        return BufferBackend::kGrowableLog;
-      }
-      // Fleet-wide proactive flip: once at least half the sibling slots
-      // run on the growable log, a uniform-footprint loop has effectively
-      // proven the capacity wall for everyone — flip now instead of
-      // paying this slot's own overflow-doom learning curve. The
-      // calm_reverted_ latch keeps a slot that *earned* its way back to
-      // the static hash (calm hysteresis) from being dragged straight
-      // back up by a still-flipped majority — without it the fleet would
-      // flap one slot per epoch forever.
-      if (fleet_ != nullptr && fleet_->slots >= 2 && !calm_reverted_ &&
-          2 * fleet_->flipped.load(std::memory_order_relaxed) >=
-              fleet_->slots) {
-        return BufferBackend::kGrowableLog;
-      }
-    } else {
-      // Calm = the speculation neither resized nor ran a footprint the
-      // static table couldn't hold at low load (half capacity is the
-      // comfort proxy: near-full static tables collision-doom). Without
-      // the footprint check a flipped slot whose big footprints fit the
-      // *grown* index without resizing would flip back, overflow-doom, and
-      // flip up again — exactly the flapping the hysteresis exists to
-      // prevent.
-      bool calm = stats_.resize_events == 0 &&
-                  footprint_hwm_ * 2 <= (size_t{1} << log2_);
-      if (!calm) {
-        calm_epochs_ = 0;
-      } else if (++calm_epochs_ >= policy_.calm_hysteresis) {
-        overflow_score_ = 0;
-        calm_epochs_ = 0;
-        calm_reverted_ = true;
-        return BufferBackend::kStaticHash;
-      }
-    }
-    return active_;
-  }
-
-  void activate(BufferBackend target, size_t footprint_hint = 0) {
-    if (fleet_ != nullptr) {
-      // Keep the fleet's flipped count in step with this slot's active
-      // backend (relaxed: a momentarily stale count only shifts *when* a
-      // sibling follows, never correctness).
-      if (target == BufferBackend::kGrowableLog &&
-          active_ != BufferBackend::kGrowableLog) {
-        fleet_->flipped.fetch_add(1, std::memory_order_relaxed);
-      } else if (target != BufferBackend::kGrowableLog &&
-                 active_ == BufferBackend::kGrowableLog) {
-        fleet_->flipped.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (target == BufferBackend::kGrowableLog && !growable_ready_) {
-      growable_log_.init(log2_, overflow_cap_, &stats_, growable_max_log2_,
-                         arena_);
-      growable_ready_ = true;
-    }
-    active_ = target;
-    // The target starts clean (it was reset when deactivated, but a flip
-    // must never trust that); grown growable capacity is carried forward —
-    // clear() keeps the index. No cached handle may cross backends.
-    view_cache_.clear();
-    dispatch([](auto& b) { b.reset(); });
-    if (target == BufferBackend::kGrowableLog && footprint_hint != 0) {
-      // Seed the flipped slot at the footprint the static hash observed
-      // (entries at the doom point — a lower bound on the true footprint,
-      // but it skips the bulk of the doubling ladder right after a flip).
-      growable_log_.reserve(footprint_hint);
-    }
-    ++stats_.backend_flips;
-  }
-
-  BufferBackend configured_ = BufferBackend::kStaticHash;
-  BufferBackend active_ = BufferBackend::kStaticHash;
+  BufferBackend backend_ = BufferBackend::kStaticHash;
   GlobalBuffer static_hash_;
   GrowableLogBuffer growable_log_;
-  NumaShardedBuffer numa_sharded_;
   SpecBufferStats stats_;
-  NumaPolicy numa_;
   WordViewCache view_cache_;
 
-  // Adaptive state (kAdaptive only). Persists across rearm() — that is the
-  // point: the *slot* learns, while the counters stay per-speculation.
-  AdaptivePolicy policy_;
-  int log2_ = 0;
-  size_t overflow_cap_ = 0;
-  int growable_max_log2_ = GrowableSet::kMaxLog2;
-  uint64_t overflow_score_ = 0;
-  uint64_t calm_epochs_ = 0;
-  size_t footprint_hwm_ = 0;
-  bool growable_ready_ = false;
-  // Set when the calm hysteresis reverted this slot to the static hash;
-  // cleared when the slot flips on its own overflow evidence. Gates the
-  // fleet-following flip (see adapt_next).
-  bool calm_reverted_ = false;
-  SpecFleetView* fleet_ = nullptr;
-  Arena* arena_ = nullptr;
-
-  // Value prediction (PredictPolicy.enabled only). The predictor — like
-  // the adaptive state above — persists across rearm(); the per-
-  // speculation side table of bets is cleared with the sets on reset().
+  // Value prediction (PredictPolicy.enabled only). The predictor persists
+  // across rearm(); the per-speculation side table of bets is cleared with
+  // the sets on reset().
   PredictPolicy predict_;
   ValuePredictor predictor_;
   struct PredictedRead {

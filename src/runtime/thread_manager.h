@@ -22,7 +22,6 @@
 #include "support/inline_task.h"
 #include "support/interval_set.h"
 #include "support/timing.h"
-#include "support/topology.h"
 
 namespace mutls {
 
@@ -40,17 +39,9 @@ struct ManagerConfig {
   size_t overflow_cap = 4096;
 
   // Speculative-buffer backend for every virtual CPU (see BufferBackend in
-  // "runtime/enums.h"): the paper's static hash with overflow-doom, the
-  // growable log that resizes under capacity pressure, or the adaptive
-  // per-slot selection between the two.
+  // "runtime/enums.h"): the paper's static hash with overflow-doom, or the
+  // growable log that resizes under capacity pressure.
   BufferBackend buffer_backend = BufferBackend::kStaticHash;
-
-  // kAdaptive knobs (ignored by the other backends); see
-  // SpecBuffer::AdaptivePolicy. A slot flips to the growable log once its
-  // cumulative overflow events reach the threshold, and flips back after
-  // this many consecutive calm speculations.
-  uint64_t adaptive_overflow_threshold = 4;
-  uint64_t adaptive_calm_hysteresis = 16;
 
   // Value-prediction knobs (any backend; see SpecBuffer::PredictPolicy
   // in "runtime/value_predictor.h"). Off by default: speculative reads
@@ -93,20 +84,7 @@ struct ManagerConfig {
   // pool is off the scheduler within microseconds regardless of how the
   // host implements cpu_relax (pause vs yield changes the per-iteration
   // cost by orders of magnitude, which is why a fixed count was wrong).
-  // On a multi-node box the probe runs once per NUMA node, pinned to a
-  // CPU of that node; an explicit value applies to every node verbatim.
   int handoff_spin_budget = 0;
-
-  // NUMA node count override. 0 (the default) probes the machine topology
-  // (sysfs; portable single-node fallback — see support/topology.h); a
-  // positive value fakes that many nodes, which is how tests exercise the
-  // per-node freelists and the sharded backend on a single-node box.
-  int numa_nodes = 0;
-
-  // kNumaSharded only: log2 of the contiguous byte range one shard covers
-  // before the address-range mapping advances to the next node's shard
-  // (see SpecNumaPolicy::region_log2).
-  int numa_shard_region_log2 = 12;
 };
 
 // The one mapping from an embedding's options struct (Runtime::Options,
@@ -120,8 +98,6 @@ ManagerConfig manager_config_from(const Opts& opt, int register_slots) {
   c.buffer_log2 = opt.buffer_log2;
   c.overflow_cap = opt.overflow_cap;
   c.buffer_backend = opt.buffer_backend;
-  c.adaptive_overflow_threshold = opt.adaptive_overflow_threshold;
-  c.adaptive_calm_hysteresis = opt.adaptive_calm_hysteresis;
   c.predict_enabled = opt.predict_enabled;
   c.predict_confidence_threshold = opt.predict_confidence_threshold;
   c.predict_stride_window = opt.predict_stride_window;
@@ -131,8 +107,6 @@ ManagerConfig manager_config_from(const Opts& opt, int register_slots) {
   c.seed = opt.seed;
   c.model_override = opt.model_override;
   c.handoff_spin_budget = opt.handoff_spin_budget;
-  c.numa_nodes = opt.numa_nodes;
-  c.numa_shard_region_log2 = opt.numa_shard_region_log2;
   return c;
 }
 
@@ -140,13 +114,6 @@ ManagerConfig manager_config_from(const Opts& opt, int register_slots) {
 // explicit value, or the memoized calibration probe's (see
 // ManagerConfig::handoff_spin_budget). Exposed for tests and diagnostics.
 int resolve_handoff_spin_budget(int configured);
-
-// Per-node variant: the explicit value verbatim, or the memoized per-node
-// probe — pinned to a CPU of `node` when the topology is real (probed),
-// so each node's budget reflects its own spin-iteration latency. Fake and
-// fallback topologies calibrate unpinned (the CPU ids are synthetic).
-int resolve_handoff_spin_budget(int configured, const Topology& topo,
-                                int node);
 
 class ThreadManager {
  public:
@@ -265,23 +232,9 @@ class ThreadManager {
 
   int num_cpus() const { return config_.num_cpus; }
 
-  // The resolved NUMA shape: node count after the probe (or the
-  // numa_nodes override) was clamped to the virtual-CPU count, and the
-  // static rank→node placement (contiguous blocks, so an in-order chain
-  // of forks walks one node's ranks before spilling to the next).
-  int num_nodes() const { return num_nodes_; }
-  int node_of_rank(int rank) const {
-    if (rank <= 0) return 0;
-    return (rank - 1) * num_nodes_ / config_.num_cpus;
-  }
-  const Topology& topology() const { return topo_; }
-
-  // The spin budget workers on `node` actually use (calibrated per node
-  // when the config said 0; see resolve_handoff_spin_budget). The
-  // argument-free form is node 0, kept for diagnostics and the common
-  // single-node case.
-  int handoff_spin_budget(int node) const { return node_budget_[node]; }
-  int handoff_spin_budget() const { return node_budget_[0]; }
+  // The spin budget workers actually use (calibrated when the config said
+  // 0; see resolve_handoff_spin_budget).
+  int handoff_spin_budget() const { return handoff_spin_budget_; }
 
  private:
   struct Cpu {
@@ -316,21 +269,16 @@ class ThreadManager {
 
   void worker_loop(Cpu& cpu);
 
-  // Per-node lock-free idle-rank freelists (one Treiber stack per NUMA
-  // node over the Cpu::next_idle links; each head packs a 32-bit ABA tag
-  // next to the rank). A rank always parks on its *home* node's list —
-  // node_of_rank is static — so the lists never cross-link; claiming
-  // tries the forker's node first and steals round-robin from the others
-  // only when it is empty. On a single-node box this degrades to exactly
-  // the old single Treiber stack.
-  int pop_idle(int node);
+  // Lock-free idle-rank freelist (Treiber stack over the Cpu::next_idle
+  // links; the head packs a 32-bit ABA tag next to the rank). Claiming a
+  // CPU is one CAS.
+  int pop_idle();
   void push_idle(int rank);
 
-  // Same-node-first claim plus the shared bookkeeping (live count, chain
-  // head); 0 when every node's pool is empty. A steal from a remote node
-  // counts into the forker's cross_node_claims. The admission branches of
-  // speculate() differ only in whether they hold policy_mu_ around it.
-  int claim_cpu(ThreadData& forker);
+  // pop_idle plus the shared claim bookkeeping (live count, chain head);
+  // 0 when the pool is empty. The admission branches of speculate() differ
+  // only in whether they hold policy_mu_ around it.
+  int claim_cpu();
 
   // The non-template halves of speculate(): model admission + CPU claim
   // (0 = denied), arming the claimed slot for the forker, and the
@@ -368,26 +316,16 @@ class ThreadManager {
   }
 
   ManagerConfig config_;
-  // The machine shape (probed or faked per config_.numa_nodes) and the
-  // node count after clamping to the virtual-CPU count.
-  Topology topo_;
-  int num_nodes_ = 1;
-  // Per-node handoff spin budgets, resolved at construction (explicit
-  // config value, or one calibration probe per node).
-  int node_budget_[Topology::kMaxNodes] = {};
-  // Shared fleet view for the adaptive slots' proactive flip (each slot's
-  // SpecBuffer holds a pointer; see SpecFleetView in spec_buffer.h).
-  SpecFleetView fleet_;
+  int handoff_spin_budget_ = 0;  // resolved at construction
   std::vector<std::unique_ptr<Cpu>> cpus_;
   ThreadData root_;
 
-  // Per-node idle freelist heads: (aba_tag << 32) | rank, rank 0 = empty.
-  // Cache-line separated so claims on different nodes never contend the
-  // same line — the point of sharding the old single head.
-  struct alignas(64) IdleHead {
-    std::atomic<uint64_t> head{0};
-  };
-  IdleHead idle_heads_[Topology::kMaxNodes];
+  // Idle freelist head: (aba_tag << 32) | rank, rank 0 = empty. Every
+  // claim and release CASes it, so it starts a fresh cache line: the CAS
+  // traffic must not invalidate the line holding config_ and cpus_, which
+  // every fork reads. The claim bookkeeping below (live_, the chain head)
+  // is written right after the CAS and may share its line.
+  alignas(64) std::atomic<uint64_t> idle_head_{0};
 
   // kMixed and kOutOfOrder admissions are decided and claimed without any
   // lock (the policy state is atomic and the claim is the freelist CAS);

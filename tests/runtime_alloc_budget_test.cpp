@@ -107,8 +107,7 @@ SteadyState run_steady(BufferBackend backend, size_t touch) {
   Runtime rt({.num_cpus = 2,
               .buffer_log2 = 8,
               .overflow_cap = 64,
-              .buffer_backend = backend,
-              .adaptive_overflow_threshold = 2});
+              .buffer_backend = backend});
   std::vector<uint64_t> data(touch + 1, 0);
   rt.register_memory(data.data(), data.size() * sizeof(uint64_t));
 
@@ -124,9 +123,8 @@ SteadyState run_steady(BufferBackend backend, size_t touch) {
   };
 
   // Warm-up: first speculations pay for arena segments, pool classes along
-  // the growable doubling ladder, retired local frames — and, for the
-  // adaptive backend, the flip to the growable log after repeated overflow
-  // dooms. Everything after that must recycle.
+  // the growable doubling ladder and retired local frames. Everything after
+  // that must recycle.
   for (int i = 0; i < kWarmup; ++i) (void)one_run();
 
   SteadyState out;
@@ -152,15 +150,6 @@ TEST(AllocBudget, StaticHashSteadyStateIsAllocationFree) {
 
 TEST(AllocBudget, GrowableLogSteadyStateIsAllocationFree) {
   SteadyState s = run_steady(BufferBackend::kGrowableLog, 2048);
-  EXPECT_EQ(s.heap_news, 0u);
-  EXPECT_EQ(s.alloc_events, 0u);
-  EXPECT_GT(s.commits, 0u);
-}
-
-TEST(AllocBudget, AdaptiveSteadyStateIsAllocationFree) {
-  // 2048 distinct words doom the 2^8-slot static hash, so warmed slots have
-  // flipped to the growable log by the measured window.
-  SteadyState s = run_steady(BufferBackend::kAdaptive, 2048);
   EXPECT_EQ(s.heap_news, 0u);
   EXPECT_EQ(s.alloc_events, 0u);
   EXPECT_GT(s.commits, 0u);

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "api/spec.h"
 #include "runtime/spec_abort.h"
@@ -265,10 +266,7 @@ TEST_P(SpecBufferTest, SubWordMergeCombinesMarks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SpecBufferTest,
-                         ::testing::Values(BufferBackend::kStaticHash,
-                                           BufferBackend::kGrowableLog,
-                                           BufferBackend::kAdaptive,
-                                           BufferBackend::kNumaSharded),
+                         ::testing::ValuesIn(kBufferBackends),
                          backend_test_name);
 
 // --- backend-specific capacity behavior ---
@@ -314,44 +312,6 @@ TEST(SpecBufferGrowableLog, ResizesInsteadOfDooming) {
   }
 }
 
-TEST(SpecBufferNumaSharded, ShardExhaustionDoomsLikeStaticOverflow) {
-  SpecBuffer tiny;
-  // Two shards alternating every 8-byte word (region_log2 = 3), each
-  // capped at a 2^5 index: a footprint far past both caps must doom, the
-  // same contract the static hash honors at overflow exhaustion.
-  tiny.init(BufferBackend::kNumaSharded, 5, 0, {}, /*growable_max_log2=*/5,
-            nullptr, {}, nullptr,
-            SpecBuffer::NumaPolicy{/*shards=*/2, /*region_log2=*/3,
-                                   /*home_shard=*/0});
-  alignas(8) static uint64_t arena[256];
-  for (int i = 0; i < 256 && !tiny.doomed(); ++i) {
-    uint64_t v = 1;
-    tiny.store_bytes(reinterpret_cast<uintptr_t>(&arena[i]), &v, 8);
-  }
-  EXPECT_TRUE(tiny.doomed()) << "a shard at its maximum index must doom";
-  EXPECT_TRUE(tiny.pressure());
-  EXPECT_GT(tiny.stats().overflow_events, 0u);
-}
-
-TEST(SpecBufferNumaSharded, ContiguousFootprintStaysHomeLocal) {
-  SpecBuffer buf;
-  // Default 4 KiB regions: a small contiguous footprint lands entirely in
-  // the forker's home shard, so every committed word counts as node-local.
-  alignas(4096) static uint64_t arena[64];
-  int home = static_cast<int>(
-      (reinterpret_cast<uintptr_t>(&arena[0]) >> 12) & 1u);
-  buf.init(BufferBackend::kNumaSharded, 8, 64, {}, GrowableSet::kMaxLog2,
-           nullptr, {}, nullptr,
-           SpecBuffer::NumaPolicy{/*shards=*/2, /*region_log2=*/12, home});
-  for (int i = 0; i < 64; ++i) {
-    uint64_t v = static_cast<uint64_t>(i);
-    buf.store_bytes(reinterpret_cast<uintptr_t>(&arena[i]), &v, 8);
-  }
-  buf.commit_to_memory();
-  EXPECT_EQ(buf.stats().local_commit_words, 64u);
-  EXPECT_GT(buf.stats().shard_probe_steps, 0u);
-}
-
 TEST(SpecBufferGrowableLog, PressureClearsOnReset) {
   SpecBuffer buf;
   buf.init(BufferBackend::kGrowableLog, 4, 0);
@@ -377,16 +337,25 @@ TEST(SpecBufferGrowableLog, PressureClearsOnReset) {
 //
 // A ThreadManager configures all its buffers with the same BufferBackend,
 // but the SpecBuffer join-time operations are generic over the (child,
-// joiner) backend pair — and under kAdaptive, sibling slots genuinely run
-// mixed backends (a flipped parent joining an unflipped child and vice
-// versa). Pin every pairing down so backends stay interchangeable at the
-// contract level, including the merge-time read-adoption policy that now
-// lives once in SpecBuffer::merge_into.
+// joiner) backend pair. Pin every pairing down so backends stay
+// interchangeable at the contract level, including the merge-time
+// read-adoption policy that lives once in SpecBuffer::merge_into.
 
 struct BackendPair {
   BufferBackend child;
   BufferBackend joiner;
 };
+
+// Every (child, joiner) pairing of the backend list.
+std::vector<BackendPair> all_backend_pairs() {
+  std::vector<BackendPair> pairs;
+  for (BufferBackend child : kBufferBackends) {
+    for (BufferBackend joiner : kBufferBackends) {
+      pairs.push_back(BackendPair{child, joiner});
+    }
+  }
+  return pairs;
+}
 
 class SpecBufferCrossBackend : public ::testing::TestWithParam<BackendPair> {};
 
@@ -470,20 +439,7 @@ TEST_P(SpecBufferCrossBackend, AdoptedReadKeepsJoinersFirstObservation) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pairs, SpecBufferCrossBackend,
-    ::testing::Values(
-        BackendPair{BufferBackend::kStaticHash, BufferBackend::kStaticHash},
-        BackendPair{BufferBackend::kStaticHash, BufferBackend::kGrowableLog},
-        BackendPair{BufferBackend::kGrowableLog, BufferBackend::kStaticHash},
-        BackendPair{BufferBackend::kGrowableLog, BufferBackend::kGrowableLog},
-        BackendPair{BufferBackend::kAdaptive, BufferBackend::kGrowableLog},
-        BackendPair{BufferBackend::kGrowableLog, BufferBackend::kAdaptive},
-        BackendPair{BufferBackend::kStaticHash, BufferBackend::kAdaptive},
-        BackendPair{BufferBackend::kAdaptive, BufferBackend::kStaticHash},
-        BackendPair{BufferBackend::kNumaSharded, BufferBackend::kNumaSharded},
-        BackendPair{BufferBackend::kNumaSharded, BufferBackend::kStaticHash},
-        BackendPair{BufferBackend::kStaticHash, BufferBackend::kNumaSharded},
-        BackendPair{BufferBackend::kNumaSharded, BufferBackend::kGrowableLog},
-        BackendPair{BufferBackend::kGrowableLog, BufferBackend::kNumaSharded}),
+    ::testing::ValuesIn(all_backend_pairs()),
     [](const ::testing::TestParamInfo<BackendPair>& info) {
       return backend_camel_name(info.param.child) + "ChildInto" +
              backend_camel_name(info.param.joiner) + "Joiner";
@@ -603,10 +559,7 @@ TEST_P(SpecBufferEquivalence, RandomAccessMixMatchesGenericByteLoop) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SpecBufferEquivalence,
-                         ::testing::Values(BufferBackend::kStaticHash,
-                                           BufferBackend::kGrowableLog,
-                                           BufferBackend::kAdaptive,
-                                           BufferBackend::kNumaSharded),
+                         ::testing::ValuesIn(kBufferBackends),
                          backend_test_name);
 
 // --- word-view cache coherence ---
@@ -796,7 +749,7 @@ TEST_P(SpecBufferViewCache, ClearedAcrossResetForSpeculation) {
 TEST_P(SpecBufferViewCache, PredictedReadCachesThePredictedView) {
   constexpr uint64_t kStride = 7;
   SpecBuffer buf;
-  buf.init(GetParam(), 8, 64, {}, GrowableSet::kMaxLog2, nullptr,
+  buf.init(GetParam(), 8, 64, GrowableSet::kMaxLog2, nullptr,
            SpecPredictPolicy{.enabled = true,
                              .confidence_threshold = 2,
                              .stride_window = uint64_t{1} << 16,
@@ -819,22 +772,18 @@ TEST_P(SpecBufferViewCache, PredictedReadCachesThePredictedView) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SpecBufferViewCache,
-                         ::testing::Values(BufferBackend::kStaticHash,
-                                           BufferBackend::kGrowableLog,
-                                           BufferBackend::kAdaptive,
-                                           BufferBackend::kNumaSharded),
+                         ::testing::ValuesIn(kBufferBackends),
                          backend_test_name);
 
 // A capacity doom falls back to the main-memory value, which must never be
 // cached: the word is in no set, so a later load cannot be served from one.
 TEST(SpecBufferViewCacheCapacity, DoomFallbackValueIsNeverCached) {
   alignas(8) static uint64_t words[64];
-  for (BufferBackend backend :
-       {BufferBackend::kStaticHash, BufferBackend::kGrowableLog}) {
+  for (BufferBackend backend : kBufferBackends) {
     SCOPED_TRACE(buffer_backend_name(backend));
     SpecBuffer tiny;
     // 16 static slots with 2 overflow entries; a 2^4 growable hard cap.
-    tiny.init(backend, 4, 2, {}, /*growable_max_log2=*/4);
+    tiny.init(backend, 4, 2, /*growable_max_log2=*/4);
     for (size_t i = 0; i < 64; ++i) words[i] = i;
     size_t doomed_at = 0;
     // Stride 16 words: every load collides in static slot 0.
@@ -860,9 +809,7 @@ TEST(SpecBufferViewCacheCapacity, DoomFallbackValueIsNeverCached) {
 // the unregistered half of a word whose registered half is cached is still
 // a wild access.
 TEST(SpecBufferViewCacheCtx, UnregisteredHalfOfCachedWordDoomsAsWild) {
-  for (BufferBackend backend :
-       {BufferBackend::kStaticHash, BufferBackend::kGrowableLog,
-        BufferBackend::kAdaptive, BufferBackend::kNumaSharded}) {
+  for (BufferBackend backend : kBufferBackends) {
     SCOPED_TRACE(buffer_backend_name(backend));
     Runtime::Options opts;
     opts.num_cpus = 1;
