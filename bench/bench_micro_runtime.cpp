@@ -122,6 +122,12 @@ void attach_buffer_counters(benchmark::State& state, const RunStats& rs) {
       static_cast<double>(b.predictor_mispredicts), Counter::kAvgIterations);
   state.counters["saved_rollbacks"] =
       Counter(static_cast<double>(b.saved_rollbacks), Counter::kAvgIterations);
+  // Direct reads of unwritten regions: region versions recorded, and
+  // validations lost to a region (a version moved, or the joiner wrote it).
+  state.counters["direct_regions"] =
+      Counter(static_cast<double>(b.direct_regions), Counter::kAvgIterations);
+  state.counters["region_rollbacks"] = Counter(
+      static_cast<double>(b.region_rollbacks), Counter::kAvgIterations);
 }
 
 void BM_BufferedLoadStore(benchmark::State& state) {
@@ -132,9 +138,10 @@ void BM_BufferedLoadStore(benchmark::State& state) {
   // pattern:
   //   0 — read-modify-writes sweeping 1024 words, each word touched four
   //       times per batch (the load+store locality of `a[i] += x`);
-  //   1 — loads only, re-reading a 512-word footprint that fits the
-  //       word-view cache eight times per batch (the pattern of md's
-  //       position reads): after the first sweep every load is a hit.
+  //   1 — loads only, re-reading a 512-word footprint eight times per
+  //       batch (the pattern of md's position reads): the speculation never
+  //       writes the array, so every load is a direct region read
+  //       (direct_regions 1 per iteration, no word-view cache traffic).
   auto backend = static_cast<BufferBackend>(state.range(0));
   const bool reread = state.range(1) != 0;
   constexpr int64_t kBatch = 4096;

@@ -123,7 +123,7 @@ COUNTER_KEYS = (
     "fastpath_hits", "mru_hits", "mru_misses", "probe_skips",
     "alloc_events",
     "predicted_reads", "predictor_hits", "predictor_mispredicts",
-    "saved_rollbacks",
+    "saved_rollbacks", "direct_regions", "region_rollbacks",
     "find_cpu_ns", "fork_arm_ns", "fork_handoff_ns", "join_ns",
     "resizes", "overflow_dooms", "doom_rate", "real_time", "cpu_time",
 )

@@ -1,34 +1,70 @@
 #include "api/ctx.h"
 
+#include <algorithm>
+
 #include "api/spec.h"
 
 namespace mutls {
 
-void Ctx::check_registered_slow(uintptr_t a, size_t n) {
-  // A cached positive lookup must not outlive the registration it proved:
-  // any unregistration bumps the manager's epoch and flushes the cache.
+void Ctx::sync_span_epoch() {
+  // A cached lookup must not outlive what it proved: an unregistration
+  // (a positive lookup) or a region registration (a record-free gap) bumps
+  // the manager's epoch and flushes the cache.
   uint64_t epoch = space_epoch_->load(std::memory_order_acquire);
-  if (epoch != span_epoch_) {
-    span_epoch_ = epoch;
-    for (int i = 0; i < kSpanCache; ++i) {
-      span_lo_[i] = 1;
-      span_hi_[i] = 0;
-    }
-  }
+  if (epoch == span_epoch_) return;
+  span_epoch_ = epoch;
   for (int i = 0; i < kSpanCache; ++i) {
-    if (a >= span_lo_[i] && a + n <= span_hi_[i]) return;
+    span_lo_[i] = 1;
+    span_hi_[i] = 0;
+    span_rec_[i] = nullptr;
+    span_mode_[i] = 0;
   }
+}
+
+int Ctx::fill_span(uintptr_t lo, uintptr_t hi, RegionRecord* rec) {
   int slot = span_next_;
   span_next_ = (span_next_ + 1) % kSpanCache;
-  if (rt_->manager().address_space().lookup(a, n, &span_lo_[slot],
-                                            &span_hi_[slot])) {
+  span_lo_[slot] = lo;
+  span_hi_[slot] = hi;
+  span_rec_[slot] = rec;
+  span_mode_[slot] = 0;
+  return slot;
+}
+
+int Ctx::check_registered_slow(uintptr_t a, size_t n) {
+  sync_span_epoch();
+  ThreadManager& mgr = rt_->manager();
+  // A region record proves its whole span registered (records are added
+  // after, and dropped before, their address-space span).
+  RegionDirectory::Hit h = mgr.regions().find(a);
+  if (h.value != nullptr && a + n <= h.hi) {
+    return fill_span(h.lo, h.hi, h.value);
+  }
+  uintptr_t lo = 0;
+  uintptr_t hi = 0;
+  if (!mgr.address_space().lookup(a, n, &lo, &hi)) {
+    // Wild speculative access (paper IV-G1): roll back instead of faulting.
+    td_->sbuf.doom("access outside the registered address space");
+    throw SpecAbort{td_->sbuf.doom_reason()};
+  }
+  // Narrow the registered span to one region record, or to the record-free
+  // stretch around the access; an access straddling records is cached as
+  // itself, with no record.
+  if (a + n > h.hi) return fill_span(a, a + n, nullptr);
+  return fill_span(std::max(lo, h.lo), std::min(hi, h.hi), h.value);
+}
+
+void Ctx::publish_slow(uintptr_t a, size_t n) {
+  sync_span_epoch();
+  const RegionDirectory& regions = rt_->manager().regions();
+  RegionDirectory::Hit h = regions.find(a);
+  if (a + n > h.hi) {
+    // Straddles records: bump each one, cache nothing.
+    regions.publish_range(a, n);
     return;
   }
-  span_lo_[slot] = 1;
-  span_hi_[slot] = 0;
-  // Wild speculative access (paper IV-G1): roll back instead of faulting.
-  td_->sbuf.doom("access outside the registered address space");
-  throw SpecAbort{td_->sbuf.doom_reason()};
+  fill_span(h.lo, h.hi, h.value);
+  if (h.value != nullptr) publish_region_write(h.value);
 }
 
 void Ctx::load_generic(uintptr_t a, void* out, size_t n) {

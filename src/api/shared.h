@@ -148,8 +148,12 @@ class Shared {
 
 // RAII registered heap array: the paper intercepts malloc/new to register
 // heap objects; in the embedding this wrapper plays that role. Direct
-// element access (operator[], data()) is for use outside runs; inside a
-// run, bind a context with span().
+// element access (operator[], data()) is for use while no speculation is
+// live — outside runs, or on the critical path between joins — and writes
+// through it are never published to region versions: a speculation that
+// read the array directly (see "Direct reads of unwritten regions" in the
+// README) cannot see them. Inside a run, write through a context instead
+// (span(), at()); debug builds check the rule.
 template <typename T>
 class SharedArray {
  public:
@@ -172,13 +176,31 @@ class SharedArray {
     return SharedRef<T>(ctx, data_.data() + i);
   }
 
-  T* data() { return data_.data(); }
-  const T* data() const { return data_.data(); }
+  T* data() {
+    check_quiescent();
+    return data_.data();
+  }
+  const T* data() const {
+    check_quiescent();
+    return data_.data();
+  }
   size_t size() const { return data_.size(); }
-  T& operator[](size_t i) { return data_[i]; }
-  const T& operator[](size_t i) const { return data_[i]; }
+  T& operator[](size_t i) {
+    check_quiescent();
+    return data_[i];
+  }
+  const T& operator[](size_t i) const {
+    check_quiescent();
+    return data_[i];
+  }
 
  private:
+  void check_quiescent() const {
+    MUTLS_DCHECK(rt_->manager().live_threads() == 0,
+                 "SharedArray raw access while a speculation is live: its "
+                 "writes would bypass the region version");
+  }
+
   Runtime* rt_;
   std::vector<T> data_;
 };

@@ -31,6 +31,7 @@
 // separate entry points (fork / fork_predicted / fork_tagged).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <exception>
@@ -249,9 +250,23 @@ class Runtime {
     s.predictions_ = std::move(opts.predictions);
     const PredictionList& predictions = s.predictions_;
     const uint64_t tag = opts.tag;
+    // One fork site per F: once a speculation from here loses a
+    // validation to a region (a version moved, or a speculative joiner
+    // wrote it), the site's later speculations read every region through
+    // the buffer (see "Direct reads of unwritten regions" in the README).
+    // A child that may read directly makes the non-speculative forker
+    // publish its stores while the child can be live.
+    static std::atomic<bool> site_lost_direct{false};
+    ThreadData& forker = ctx.thread_data();
     // MUTLS_set_regvar_*: the proxy stores predicted live-ins into the
     // child's RegisterBuffer before the stub starts consuming them.
-    auto setup = [&predictions, tag](ThreadData& child) {
+    auto setup = [&predictions, tag, &forker](ThreadData& child) {
+      const bool forker_direct =
+          !forker.is_speculative() || forker.sbuf.direct_reads_allowed();
+      if (child.sbuf.set_fork_site(&site_lost_direct, forker_direct) &&
+          !forker.is_speculative()) {
+        forker.publish_stores = true;
+      }
       child.user_tag = tag;
       int off = 0;
       for (const Prediction& p : predictions) {
@@ -259,7 +274,7 @@ class Runtime {
       }
     };
     int rank = mgr_.speculate(
-        ctx.thread_data(), opts.model,
+        forker, opts.model,
         [this, body = std::forward<F>(body)](ThreadData& td) mutable {
           Ctx child(*this, td);
           body(child);
@@ -397,8 +412,11 @@ class Runtime {
     return mgr_.collect_stats();
   }
 
-  // Address-space registration (paper IV-G1).
-  void register_memory(const void* p, size_t n) { mgr_.register_space(p, n); }
+  // Address-space registration (paper IV-G1). Each registration is its
+  // own region with its own version (ThreadManager::register_region).
+  void register_memory(const void* p, size_t n) {
+    mgr_.register_region(p, n);
+  }
   void unregister_memory(const void* p, size_t n) {
     mgr_.unregister_space(p, n);
   }

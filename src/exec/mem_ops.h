@@ -4,10 +4,15 @@
 // these, so doom/rollback semantics cannot drift between tiers.
 //
 // Non-speculative threads access host memory directly through relaxed
-// atomics (TSan-clean against concurrent speculative first-touch reads);
-// speculative threads go through the slot's SpecBuffer with the aligned
-// fast path for word-sized accesses. A wild address or a doomed buffer
-// unwinds the task with SpecAbort.
+// atomics (TSan-clean against concurrent speculative first-touch reads)
+// and, while a direct reader can be live (ThreadData::publish_stores),
+// publish each store to the regions it touches (a version bump after the
+// data, "runtime/region.h"); speculative threads go through the slot's
+// SpecBuffer with the aligned fast path for word-sized accesses, and their
+// stores are untracked (no span cache attributes them to a region), so a
+// commit publishes them word by word. IR loads never read a region
+// directly. A wild address or a doomed buffer unwinds the task with
+// SpecAbort.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +60,13 @@ inline void store_mem(ThreadManager& mgr, ThreadData& td, uint64_t addr,
     for (size_t i = 0; i < n; ++i) {
       atomic_byte_store(addr + i, static_cast<const uint8_t*>(src)[i]);
     }
+    if (td.publish_stores) {
+      mgr.publish_write(reinterpret_cast<void*>(addr), n);
+    }
     return;
   }
   check_space(mgr, td, addr, n);
+  td.sbuf.note_store(nullptr);
   if (word_sized_aligned(addr, n)) {
     uint64_t raw = 0;
     std::memcpy(&raw, src, n);

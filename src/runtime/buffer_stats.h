@@ -45,6 +45,11 @@ struct SpecBufferStats {
                                  // (some predicted read saw memory change
                                  // under it) — each one is a rollback the
                                  // unpredicted runtime provably pays
+  uint64_t direct_regions = 0;   // region versions recorded: regions this
+                                 // speculation read straight from memory
+  uint64_t region_rollbacks = 0;  // validations lost to a region: a
+                                  // recorded version moved, or the
+                                  // speculative joiner wrote the region
 
   void clear() { *this = SpecBufferStats{}; }
 
@@ -70,6 +75,8 @@ struct SpecBufferStats {
     predictor_hits += o.predictor_hits;
     predictor_mispredicts += o.predictor_mispredicts;
     saved_rollbacks += o.saved_rollbacks;
+    direct_regions += o.direct_regions;
+    region_rollbacks += o.region_rollbacks;
     return *this;
   }
 };

@@ -32,6 +32,17 @@
 // read-adoption policy (skip-if-covered-by-full-mark, first value wins).
 //
 // Access-path tiers, fastest first:
+//   direct region read — a load from a registered region (RegionRecord,
+//     "runtime/region.h") that this speculation has not written never
+//     reaches the buffer: the caller (Ctx) asks resolve_load() once per
+//     region and generation, the first ask records (region, version) in an
+//     inline table of kRegionSlots entries, and every later load is a
+//     relaxed load from memory — no cache probe, no read-set insert, no
+//     counter, no doom check. Validation compares the recorded versions.
+//     A store into the region (note_store) switches it to the tiers below
+//     and bumps region_gen(), which ends every caller's cached direct
+//     decision; a full table or an unattributed store leaves the rest of
+//     the speculation on the tiers below. Counted as direct_regions.
 //   word-view cache hit — a direct-mapped cache of composed word views
 //     ("runtime/word_view_cache.h", 1024 lines) sits in front of every
 //     tier below. load_aligned probes it *before* the backend dispatch, so
@@ -63,6 +74,19 @@
 // The double dispatch in validate_against/merge_into makes the join-time
 // pairings generic, so buffers of different backends compose.
 //
+// Direct reads at the join. Against memory, a recorded version that moved
+// fails validation (region_rollbacks). Against a speculative joiner, a
+// recorded region the joiner has written (its own stores or a merged
+// child's) fails it, and so does a child whose read records would not fit
+// the joiner's table. merge_into() carries the child's records up: the first
+// recorded version wins, written marks are merged, and a written mark that
+// reaches the joiner ends the joiner's own direct reads of that region.
+// commit_to_memory() bumps the version of every region it wrote. A failure
+// caused by a region also turns direct reads off for the failing
+// speculation's fork site. Direct reads are off until set_fork_site turns
+// them on: the fork site has not lost one, and the forker may read
+// directly too (the non-speculative thread always may).
+//
 // Value prediction (PredictPolicy, off by default) is a policy layer over
 // the same primitives: a confident per-slot ValuePredictor entry lets a
 // first-touch read adopt the *predicted* final value instead of the
@@ -81,6 +105,7 @@
 #include "runtime/global_buffer.h"
 #include "runtime/growable_log_buffer.h"
 #include "runtime/memory.h"
+#include "runtime/region.h"
 #include "runtime/value_predictor.h"
 #include "runtime/word_view_cache.h"
 #include "support/arena.h"
@@ -276,6 +301,15 @@ class SpecBuffer {
   // is compared in address order (hardware prefetch instead of hash-order
   // hopping).
   bool validate_against_memory() {
+    bool regions_valid = true;
+    for (int i = 0; i < region_count_; ++i) {
+      const RegionSlot& r = regions_[i];
+      if (r.read && r.rec->version.load(std::memory_order_acquire) !=
+                        r.version) {
+        regions_valid = false;
+      }
+    }
+    if (!regions_valid) lose_direct_reads();
     return dispatch([&](auto& b) {
       uint64_t diff = 0;
       uint64_t words = 0;
@@ -296,7 +330,7 @@ class SpecBuffer {
         });
       }
       stats_.validated_words += words;
-      bool valid = diff == 0;
+      bool valid = regions_valid && diff == 0;
       if (predict_.enabled) {
         valid = settle_predicted(
             b, valid, [](uintptr_t a) { return atomic_word_load(a); });
@@ -311,6 +345,22 @@ class SpecBuffer {
   // word-view cache: they run on the joiner's buffer from *this* thread at
   // the flag barrier.
   bool validate_against(SpecBuffer& joiner) {
+    bool regions_valid = true;
+    int adopted = 0;  // read records the merge would add to the joiner
+    for (int i = 0; i < region_count_; ++i) {
+      const RegionSlot& r = regions_[i];
+      if (!r.read) continue;
+      const RegionSlot* j = joiner.find_region(r.rec);
+      if (joiner.untracked_writes_ || (j != nullptr && j->written)) {
+        regions_valid = false;
+      }
+      if (j == nullptr) ++adopted;
+    }
+    if (!regions_valid) lose_direct_reads();
+    // Nothing but the joiner's table could guard the adopted reads after
+    // the merge: a child whose records do not fit fails (no site lesson —
+    // no region changed).
+    if (joiner.region_count_ + adopted > kRegionSlots) regions_valid = false;
     return dispatch([&](auto& b) {
       return joiner.dispatch([&](auto& j) {
         uint64_t diff = 0;
@@ -320,7 +370,7 @@ class SpecBuffer {
           diff |= word_peek(j, word_addr) ^ data;
         });
         stats_.validated_words += words;
-        bool valid = diff == 0;
+        bool valid = regions_valid && diff == 0;
         if (predict_.enabled) {
           // The "settled value" against a speculative joiner is the
           // joiner's buffered view. Training on it is slightly optimistic
@@ -336,8 +386,11 @@ class SpecBuffer {
   }
 
   // Commits marked write-set bytes to main memory — in address order when
-  // the set is large enough for the ordered walk to beat the sort.
-  void commit_to_memory() {
+  // the set is large enough for the ordered walk to beat the sort — then
+  // publishes them: every region this speculation wrote gets its version
+  // bumped. Stores no region slot attributed are published word by word
+  // through `regions` (the manager's directory), when given.
+  void commit_to_memory(const RegionDirectory* regions = nullptr) {
     dispatch([&](auto& b) {
       auto commit_one = [](uintptr_t word_addr, uint64_t data, uint64_t mark) {
         if (mark == kFullMark) {
@@ -365,6 +418,17 @@ class SpecBuffer {
         b.for_each_write(commit_one);
       }
     });
+    for (int i = 0; i < region_count_; ++i) {
+      if (regions_[i].written) publish_region_write(regions_[i].rec);
+    }
+    if (untracked_writes_ && regions != nullptr && !regions->empty()) {
+      dispatch([&](auto& b) {
+        RegionDirectory::Hit last;
+        b.for_each_write([&](uintptr_t word_addr, uint64_t, uint64_t) {
+          regions->publish_word(word_addr, last);
+        });
+      });
+    }
   }
 
   // Merges this buffer into a *speculative* joiner. The whole tree-form
@@ -382,6 +446,7 @@ class SpecBuffer {
     // Adoption mutates the joiner's sets behind its word-view cache (and
     // runs at the flag barrier, not on the access hot path): empty it.
     joiner.view_cache_.clear();
+    merge_regions_into(joiner);
     dispatch([&](auto& b) {
       joiner.dispatch([&](auto& j) {
         b.for_each_write(
@@ -411,15 +476,88 @@ class SpecBuffer {
   void reset() {
     view_cache_.clear();
     predicted_.clear();
+    region_count_ = 0;
+    untracked_writes_ = false;
+    ++region_gen_;
     dispatch([](auto& b) { b.reset(); });
   }
 
   // Re-arms this buffer for the next speculation on its virtual-CPU slot:
-  // resets buffered state and zeroes the per-speculation counters.
+  // resets buffered state, zeroes the per-speculation counters and forgets
+  // the previous speculation's fork site (direct reads stay off until
+  // set_fork_site turns them on).
   void rearm() {
     reset();
     clear_stats();
+    fork_site_ = nullptr;
+    direct_off_ = true;
   }
+
+  // --- direct reads of unwritten regions (see the tier list above) ---
+
+  // How a caller serves accesses to one region in the current generation.
+  // kBuffered and kWritten both take the buffered tiers; kWritten also
+  // tells the caller that stores into the region need no note_store().
+  enum RegionMode : uint8_t {
+    kUnresolved = 0,
+    kDirect = 1,
+    kBuffered = 2,
+    kWritten = 3,
+  };
+  static constexpr int kRegionSlots = 16;
+
+  // Bumped whenever a decision resolve_load() handed out may no longer
+  // hold (a region newly written, a merge, a reset); callers cache their
+  // decisions tagged with it.
+  uint64_t region_gen() const { return region_gen_; }
+
+  // Decides how loads from `rec` (null: memory with no record) are served.
+  // The first direct decision for a region records its version.
+  RegionMode resolve_load(RegionRecord* rec) {
+    if (rec == nullptr) return kBuffered;
+    RegionSlot* s = find_region(rec);
+    if (s != nullptr && s->written) return kWritten;
+    if (direct_off_ || untracked_writes_) return kBuffered;
+    if (s != nullptr) return kDirect;
+    if (region_count_ == kRegionSlots) return kBuffered;
+    regions_[region_count_++] = RegionSlot{
+        rec, rec->version.load(std::memory_order_acquire), true, false};
+    ++stats_.direct_regions;
+    return kDirect;
+  }
+
+  // Notes a store into `rec` (null: memory with no record) before it is
+  // buffered: marks the region written, so its loads leave the direct tier
+  // and the commit publishes it. A store no slot can hold is untracked: it
+  // ends direct reads for the rest of the speculation.
+  void note_store(RegionRecord* rec) {
+    RegionSlot* s = rec != nullptr ? find_region(rec) : nullptr;
+    if (s == nullptr && rec != nullptr && region_count_ < kRegionSlots) {
+      s = &regions_[region_count_++];
+      *s = RegionSlot{rec, 0, false, false};
+    }
+    if (s != nullptr) {
+      if (s->written) return;
+      s->written = true;
+    } else {
+      if (untracked_writes_) return;
+      untracked_writes_ = true;
+    }
+    ++region_gen_;
+  }
+
+  // Binds this speculation to its fork site's flag: a set flag keeps the
+  // speculation off direct reads, and a validation this speculation loses
+  // to a region sets it. `forker_direct` is false when the forker is a
+  // speculation that may not read directly; its children may not either.
+  // Returns whether this speculation may read directly.
+  bool set_fork_site(std::atomic<bool>* lost_direct, bool forker_direct) {
+    fork_site_ = lost_direct;
+    direct_off_ =
+        !forker_direct || lost_direct->load(std::memory_order_relaxed);
+    return !direct_off_;
+  }
+  bool direct_reads_allowed() const { return !direct_off_; }
 
   bool doomed() const {
     return dispatch([](const auto& b) { return b.doomed(); });
@@ -632,11 +770,65 @@ class SpecBuffer {
     }
   }
 
+  // --- the region table ---
+
+  struct RegionSlot {
+    RegionRecord* rec;
+    uint64_t version;  // recorded at the first direct read (read only)
+    bool read;         // a version was recorded: direct reads happened
+    bool written;      // this speculation (or a merged child) stored here
+  };
+
+  RegionSlot* find_region(const RegionRecord* rec) {
+    for (int i = 0; i < region_count_; ++i) {
+      if (regions_[i].rec == rec) return &regions_[i];
+    }
+    return nullptr;
+  }
+
+  // A validation lost to a region: count it and teach the fork site.
+  void lose_direct_reads() {
+    ++stats_.region_rollbacks;
+    if (fork_site_ != nullptr) {
+      fork_site_->store(true, std::memory_order_relaxed);
+    }
+  }
+
+  // The region half of merge_into: first recorded version wins, written
+  // marks merge. validate_against() made room for every read record, and a
+  // read record the joiner already holds is a read the joiner recorded
+  // first (one it wrote would have failed the child). A written-only
+  // record the joiner's full table cannot take makes its writes untracked.
+  void merge_regions_into(SpecBuffer& joiner) {
+    for (bool reads : {true, false}) {
+      for (int i = 0; i < region_count_; ++i) {
+        const RegionSlot& c = regions_[i];
+        if (c.read != reads) continue;
+        if (RegionSlot* j = joiner.find_region(c.rec)) {
+          j->written |= c.written;
+        } else if (joiner.region_count_ < kRegionSlots) {
+          joiner.regions_[joiner.region_count_++] = c;
+        } else {
+          joiner.untracked_writes_ = true;
+        }
+      }
+    }
+    joiner.untracked_writes_ |= untracked_writes_;
+    ++joiner.region_gen_;
+  }
+
   BufferBackend backend_ = BufferBackend::kStaticHash;
   GlobalBuffer static_hash_;
   GrowableLogBuffer growable_log_;
   SpecBufferStats stats_;
   WordViewCache view_cache_;
+
+  RegionSlot regions_[kRegionSlots];
+  int region_count_ = 0;
+  bool untracked_writes_ = false;
+  bool direct_off_ = true;  // direct reads off: see set_fork_site
+  uint64_t region_gen_ = 1;
+  std::atomic<bool>* fork_site_ = nullptr;
 
   // Value prediction (PredictPolicy.enabled only). The predictor persists
   // across rearm(); the per-speculation side table of bets is cleared with

@@ -16,6 +16,10 @@ namespace mutls {
 struct ThreadStats {
   TimeLedger ledger;
 
+  // Shared-memory accesses routed through a Ctx or the IR executor. On a
+  // speculative thread `loads` counts the buffered loads only: a direct
+  // read of an unwritten region ("runtime/region.h") is counted nowhere,
+  // per region it shows up once as SpecBufferStats::direct_regions.
   uint64_t loads = 0;
   uint64_t stores = 0;
   uint64_t forks = 0;        // successful speculations

@@ -64,6 +64,16 @@ struct ThreadData {
   // Rollback injection (paper Fig. 11): decided once per speculation.
   bool inject_rollback = false;
 
+  // Non-speculative thread only: set while a speculation that may read
+  // regions directly can be live, so this thread's stores must publish
+  // (bump their region's version, "runtime/region.h"). Set when the thread
+  // forks such a speculation; cleared at run start and at a join that
+  // leaves no speculation live. Every direct reader descends from such a
+  // fork (a speculation forks direct readers only if it may read directly
+  // itself), so while the flag is clear no live speculation holds a
+  // version record.
+  bool publish_stores = false;
+
   // Opaque caller payload (e.g. the starting chunk of a loop-chain link),
   // readable by the joiner at synchronization time so adopted children can
   // be re-executed after a rollback.

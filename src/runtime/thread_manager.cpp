@@ -307,7 +307,7 @@ void ThreadManager::barrier_and_settle(Cpu& c, Task& task) {
   if (valid) {
     uint64_t c0 = now_ns();
     if (j->rank == 0) {
-      td.sbuf.commit_to_memory();
+      td.sbuf.commit_to_memory(&regions_);
     } else {
       td.sbuf.merge_into(j->sbuf);
     }
@@ -398,6 +398,11 @@ ThreadManager::JoinResult ThreadManager::synchronize(
   c.settled_epoch.store(c.data.epoch, std::memory_order_release);
   c.state.store(CpuState::kIdle, std::memory_order_release);
   push_idle(expect.rank);
+  // No speculation left to hold a region version record: the
+  // non-speculative thread's stores need not publish until its next fork.
+  if (!joiner.is_speculative() && live_threads() == 0) {
+    joiner.publish_stores = false;
+  }
   joiner.stats.ledger.add(TimeCat::kJoin, now_ns() - t1);
   return v == ValidStatus::kCommit ? JoinResult::kCommit
                                    : JoinResult::kRollback;
@@ -475,7 +480,16 @@ void ThreadManager::register_space(const void* p, size_t n) {
   space_.insert(reinterpret_cast<uintptr_t>(p), n);
 }
 
+void ThreadManager::register_region(const void* p, size_t n) {
+  space_.insert(reinterpret_cast<uintptr_t>(p), n);
+  regions_.add(p, n);
+  // A Ctx may have cached the record-free gap this region now fills.
+  space_epoch_.fetch_add(1, std::memory_order_acq_rel);
+}
+
 void ThreadManager::unregister_space(const void* p, size_t n) {
+  // Records go first: a record must never outlive its registered span.
+  regions_.remove(p, n);
   space_.erase(reinterpret_cast<uintptr_t>(p), n);
   // Invalidate every Ctx's cached positive lookups: a span that was
   // registered when cached may cover this region.
@@ -514,6 +528,7 @@ void ThreadManager::begin_run() {
   // epochs (the root never settles): re-arm here so each run's critical
   // alloc_events covers exactly that run.
   root_.arena.rearm();
+  root_.publish_stores = false;
   run_start_ns_ = now_ns();
 }
 

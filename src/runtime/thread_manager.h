@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "runtime/enums.h"
+#include "runtime/region.h"
 #include "runtime/stats.h"
 #include "runtime/thread_data.h"
 #include "support/function_ref.h"
@@ -196,17 +197,31 @@ class ThreadManager {
   // caller's stack frame are safe to destroy.
   void nosync_children(ThreadData& td, size_t keep = 0);
 
-  // Address-space registration (paper IV-G1).
+  // Address-space registration (paper IV-G1). register_space makes the
+  // span legal for speculative access; register_region additionally gives
+  // it its own version record (see "runtime/region.h"), which lets
+  // speculations read it directly while they have not written it.
+  // unregister_space drops both.
   void register_space(const void* p, size_t n);
+  void register_region(const void* p, size_t n);
   void unregister_space(const void* p, size_t n);
   bool space_contains(const void* p, size_t n) const;
   const IntervalSet& address_space() const { return space_; }
+  const RegionDirectory& regions() const { return regions_; }
 
-  // Bumped on every unregistration; per-Ctx span caches compare it so a
-  // cached positive lookup cannot outlive the registration it proved
-  // (memory can be unregistered mid-run, e.g. algorithm-local scratch).
-  // Each Ctx keeps a pointer to the word, so its inline span-cache check
-  // reads it without a call through the Runtime.
+  // Publishes a non-speculative write of [p, p+n) by a path that keeps no
+  // span cache (the IR executor): bumps the version of every region it
+  // touches. Free while no region is registered.
+  void publish_write(const void* p, size_t n) const {
+    regions_.publish_range(reinterpret_cast<uintptr_t>(p), n);
+  }
+
+  // Bumped on every unregistration and region registration; per-Ctx span
+  // caches compare it so a cached lookup cannot outlive what it proved — a
+  // positive lookup the registration (memory can be unregistered mid-run,
+  // e.g. algorithm-local scratch), a record-free gap the absence of a
+  // record. Each Ctx keeps a pointer to the word, so its inline span-cache
+  // check reads it without a call through the Runtime.
   const std::atomic<uint64_t>* space_epoch_word() const {
     return &space_epoch_;
   }
@@ -350,6 +365,7 @@ class ThreadManager {
 
   IntervalSet space_;
   std::atomic<uint64_t> space_epoch_{0};
+  RegionDirectory regions_;
 };
 
 }  // namespace mutls

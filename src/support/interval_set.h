@@ -8,7 +8,9 @@
 // set is a sorted vector under a shared mutex with a per-query hint.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <shared_mutex>
 #include <vector>
 
@@ -48,6 +50,94 @@ class IntervalSet {
 
   mutable std::shared_mutex mu_;
   std::vector<Span> spans_;  // sorted by lo, non-overlapping
+};
+
+// Sorted map of disjoint spans to a payload, one entry per insertion: unlike
+// IntervalSet, adjacent spans never merge, so every span keeps the identity
+// of the registration that made it (the region records of
+// "runtime/region.h"). An insertion overlapping an existing span is refused.
+// Same locking discipline as IntervalSet: a shared mutex, written at
+// registration, read on cache misses.
+template <typename V>
+class SpanMap {
+ public:
+  // The span containing an address, or — with `value` null — the gap
+  // between the neighbouring spans that contains it.
+  struct Hit {
+    uintptr_t lo = 0;
+    uintptr_t hi = 0;  // exclusive
+    V* value = nullptr;
+  };
+
+  // Maps [start, start+size) to `value`; false (and no change) when the
+  // range is empty or overlaps a mapped span.
+  bool insert(uintptr_t start, size_t size, V* value) {
+    if (size == 0) return false;
+    std::unique_lock lock(mu_);
+    size_t i = first_ending_after(start);
+    if (i < spans_.size() && spans_[i].lo < start + size) return false;
+    spans_.insert(spans_.begin() + static_cast<ptrdiff_t>(i),
+                  Entry{start, start + size, value});
+    return true;
+  }
+
+  // Unmaps every span overlapping [start, start+size), handing each
+  // payload to `fn` (under the lock).
+  template <typename Fn>
+  void erase_overlapping(uintptr_t start, size_t size, Fn&& fn) {
+    std::unique_lock lock(mu_);
+    size_t i = first_ending_after(start);
+    size_t j = i;
+    while (j < spans_.size() && spans_[j].lo < start + size) {
+      fn(spans_[j].value);
+      ++j;
+    }
+    spans_.erase(spans_.begin() + static_cast<ptrdiff_t>(i),
+                 spans_.begin() + static_cast<ptrdiff_t>(j));
+  }
+
+  Hit find(uintptr_t addr) const {
+    std::shared_lock lock(mu_);
+    size_t i = first_ending_after(addr);
+    Hit h;
+    h.lo = i > 0 ? spans_[i - 1].hi : 0;
+    h.hi = UINTPTR_MAX;
+    if (i < spans_.size()) {
+      if (spans_[i].lo <= addr) return Hit{spans_[i].lo, spans_[i].hi,
+                                           spans_[i].value};
+      h.hi = spans_[i].lo;
+    }
+    return h;
+  }
+
+  // Calls `fn` on the payload of every span overlapping [start, start+size)
+  // (under the shared lock).
+  template <typename Fn>
+  void for_each_overlapping(uintptr_t start, size_t size, Fn&& fn) const {
+    std::shared_lock lock(mu_);
+    for (size_t i = first_ending_after(start);
+         i < spans_.size() && spans_[i].lo < start + size; ++i) {
+      fn(spans_[i].value);
+    }
+  }
+
+ private:
+  struct Entry {
+    uintptr_t lo;
+    uintptr_t hi;  // exclusive
+    V* value;
+  };
+
+  // Index of the first span with hi > addr, under lock.
+  size_t first_ending_after(uintptr_t addr) const {
+    auto it = std::upper_bound(
+        spans_.begin(), spans_.end(), addr,
+        [](uintptr_t a, const Entry& e) { return a < e.hi; });
+    return static_cast<size_t>(it - spans_.begin());
+  }
+
+  mutable std::shared_mutex mu_;
+  std::vector<Entry> spans_;  // sorted by lo, disjoint, never merged
 };
 
 }  // namespace mutls

@@ -253,13 +253,16 @@ SpecRun BarnesHut::run_spec(Runtime& rt, const Params& p, ForkModel model) {
       // which only speculates the force loop).
       build_tree(t, p.n, px.data(), py.data(), pz.data(), pm.data());
       MUTLS_CHECK(t.size() <= cap, "octree capacity exceeded");
-      for (size_t i = 0; i < t.size(); ++i) {
-        tcomx[i] = t.comx[i]; tcomy[i] = t.comy[i]; tcomz[i] = t.comz[i];
-        tmass[i] = t.mass[i]; thalf[i] = t.half[i];
-        tbody[i] = t.body[i];
-        for (int q = 0; q < 8; ++q) tchild[i * 8 + static_cast<size_t>(q)] =
-            t.child[i * 8 + static_cast<size_t>(q)];
-      }
+      // Filled through the context, so each array's region version moves
+      // with the new tree (a raw fill would bypass it).
+      size_t nodes = t.size();
+      tcomx.span(ctx).write(0, t.comx.data(), nodes);
+      tcomy.span(ctx).write(0, t.comy.data(), nodes);
+      tcomz.span(ctx).write(0, t.comz.data(), nodes);
+      tmass.span(ctx).write(0, t.mass.data(), nodes);
+      thalf.span(ctx).write(0, t.half.data(), nodes);
+      tbody.span(ctx).write(0, t.body.data(), nodes);
+      tchild.span(ctx).write(0, t.child.data(), nodes * 8);
       par::for_each_chunk(
           rt, ctx, 0, p.n, par::LoopOpts{.chunks = p.chunks, .model = model},
           [&](Ctx& c, int, int64_t lo, int64_t hi) {

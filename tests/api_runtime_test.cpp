@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <thread>
 
 namespace mutls {
 namespace {
@@ -23,12 +25,13 @@ Runtime::Options small_opts(int cpus = 2) {
 TEST(ApiRuntime, CommittedSpeculationPublishesWrites) {
   Runtime rt(small_opts());
   SharedArray<uint64_t> data(rt, 4, 0);
+  uint64_t* const data_ptr = data.data();
   rt.run([&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
-      c.store(&data[1], uint64_t{11});
-      c.store(&data[2], uint64_t{22});
+      c.store(&data_ptr[1], uint64_t{11});
+      c.store(&data_ptr[2], uint64_t{22});
     });
-    ctx.store(&data[0], uint64_t{7});
+    ctx.store(&data_ptr[0], uint64_t{7});
     JoinOutcome r = rt.join(ctx, s);
     EXPECT_NE(r, JoinOutcome::kRolledBack);
   });
@@ -40,12 +43,13 @@ TEST(ApiRuntime, CommittedSpeculationPublishesWrites) {
 TEST(ApiRuntime, DeniedSpeculationRunsInline) {
   Runtime rt(small_opts(1));
   SharedArray<uint64_t> data(rt, 2, 0);
+  uint64_t* const data_ptr = data.data();
   rt.run([&](Ctx& ctx) {
     Spec s1 = rt.fork(ctx, ForkModel::kMixed,
-                      [&](Ctx& c) { c.store(&data[0], uint64_t{1}); });
+                      [&](Ctx& c) { c.store(&data_ptr[0], uint64_t{1}); });
     // Only one CPU: the second fork must be denied and defer to join().
     Spec s2 = rt.fork(ctx, ForkModel::kMixed,
-                      [&](Ctx& c) { c.store(&data[1], uint64_t{2}); });
+                      [&](Ctx& c) { c.store(&data_ptr[1], uint64_t{2}); });
     EXPECT_FALSE(s2.speculated());
     EXPECT_EQ(rt.join(ctx, s2), JoinOutcome::kSequential);
     rt.join(ctx, s1);
@@ -57,20 +61,21 @@ TEST(ApiRuntime, DeniedSpeculationRunsInline) {
 TEST(ApiRuntime, ReadConflictRollsBackAndReexecutes) {
   Runtime rt(small_opts());
   SharedArray<uint64_t> data(rt, 2, 0);
+  uint64_t* const data_ptr = data.data();
   data[0] = 1;
   std::atomic<bool> child_read{false};
   rt.run([&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
-      uint64_t v = c.load(&data[0]);
+      uint64_t v = c.load(&data_ptr[0]);
       child_read = true;
-      c.store(&data[1], v * 100);
+      c.store(&data_ptr[1], v * 100);
     });
     if (s.speculated()) {
       // Guarantee the speculative read happens before the conflicting
       // parent write, making rollback deterministic.
       while (!child_read) std::this_thread::yield();
     }
-    ctx.store(&data[0], uint64_t{5});
+    ctx.store(&data_ptr[0], uint64_t{5});
     JoinOutcome r = rt.join(ctx, s);
     if (s.speculated()) {
       EXPECT_EQ(r, JoinOutcome::kRolledBack);
@@ -82,9 +87,10 @@ TEST(ApiRuntime, ReadConflictRollsBackAndReexecutes) {
 TEST(ApiRuntime, RunsWithoutSpeculationStillWork) {
   Runtime rt(small_opts());
   SharedArray<int> data(rt, 8, 0);
+  int* const data_ptr = data.data();
   RunStats rs = rt.run([&](Ctx& ctx) {
     for (size_t i = 0; i < data.size(); ++i) {
-      ctx.store(&data[i], static_cast<int>(i));
+      ctx.store(&data_ptr[i], static_cast<int>(i));
     }
   });
   EXPECT_EQ(data[7], 7);
@@ -97,14 +103,15 @@ TEST(ApiRuntime, NestedSpeculationFormsTree) {
   // tree); the grandchild's effects must survive both commits.
   Runtime rt(small_opts(3));
   SharedArray<uint64_t> data(rt, 3, 0);
+  uint64_t* const data_ptr = data.data();
   rt.run([&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
       Spec g = rt.fork(c, ForkModel::kMixed,
-                       [&](Ctx& cc) { cc.store(&data[2], uint64_t{3}); });
-      c.store(&data[1], uint64_t{2});
+                       [&](Ctx& cc) { cc.store(&data_ptr[2], uint64_t{3}); });
+      c.store(&data_ptr[1], uint64_t{2});
       rt.join(c, g);
     });
-    ctx.store(&data[0], uint64_t{1});
+    ctx.store(&data_ptr[0], uint64_t{1});
     rt.join(ctx, s);
   });
   EXPECT_EQ(data[0], 1u);
@@ -117,19 +124,20 @@ TEST(ApiRuntime, NestedConflictStaysInSubtree) {
   // re-executes inside the subtree; the root still commits everything.
   Runtime rt(small_opts(3));
   SharedArray<uint64_t> data(rt, 3, 0);
+  uint64_t* const data_ptr = data.data();
   data[0] = 1;
   rt.run([&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
       std::atomic<bool> gc_read{false};
       Spec g = rt.fork(c, ForkModel::kMixed, [&](Ctx& cc) {
-        uint64_t v = cc.load(&data[0]);
+        uint64_t v = cc.load(&data_ptr[0]);
         gc_read = true;
-        cc.store(&data[2], v + 100);
+        cc.store(&data_ptr[2], v + 100);
       });
       if (g.speculated()) {
         while (!gc_read) std::this_thread::yield();
       }
-      c.store(&data[0], uint64_t{50});  // conflicts with grandchild's read
+      c.store(&data_ptr[0], uint64_t{50});  // conflicts with grandchild's read
       rt.join(c, g);
     });
     rt.join(ctx, s);
@@ -175,6 +183,7 @@ TEST(ApiRuntime, NonSpeculativeAccessBypassesBuffers) {
 TEST(ApiRuntime, LiveInPredictionValidates) {
   Runtime rt(small_opts());
   SharedArray<uint64_t> data(rt, 1, 0);
+  uint64_t* const data_ptr = data.data();
   rt.run([&](Ctx& ctx) {
     int64_t i = 0;
     Spec s = rt.fork(
@@ -182,7 +191,7 @@ TEST(ApiRuntime, LiveInPredictionValidates) {
         ForkOpts{.predictions = {Prediction::of<int64_t>(&i, 10)}},
         [&](Ctx& c) {
           int64_t start = c.get_livein<int64_t>(0);
-          c.store(&data[0], static_cast<uint64_t>(start * 2));
+          c.store(&data_ptr[0], static_cast<uint64_t>(start * 2));
         });
     i = 10;  // parent reaches the join point with the predicted value
     JoinOutcome r = rt.join(ctx, s);
@@ -194,6 +203,7 @@ TEST(ApiRuntime, LiveInPredictionValidates) {
 TEST(ApiRuntime, MispredictedLiveInForcesRollback) {
   Runtime rt(small_opts());
   SharedArray<uint64_t> data(rt, 1, 0);
+  uint64_t* const data_ptr = data.data();
   rt.run([&](Ctx& ctx) {
     int64_t i = 0;
     Spec s = rt.fork(
@@ -202,7 +212,7 @@ TEST(ApiRuntime, MispredictedLiveInForcesRollback) {
         [&](Ctx& c) {
           // On re-execution the live-in fetch is meaningless, so read the
           // parent's actual variable non-speculatively via capture.
-          c.store(&data[0], uint64_t{1});
+          c.store(&data_ptr[0], uint64_t{1});
         });
     i = 11;  // prediction was wrong
     JoinOutcome r = rt.join(ctx, s);
@@ -216,6 +226,7 @@ TEST(ApiRuntime, SpecForComputesCorrectSums) {
                       ForkModel::kMixed}) {
     Runtime rt(small_opts(2));
     SharedArray<uint64_t> partial(rt, 8, 0);
+    uint64_t* const partial_ptr = partial.data();
     rt.run([&](Ctx& ctx) {
       spec_for(rt, ctx, 0, 1000, 8, m,
                [&](Ctx& c, int chunk, int64_t lo, int64_t hi) {
@@ -223,7 +234,7 @@ TEST(ApiRuntime, SpecForComputesCorrectSums) {
                  for (int64_t i = lo; i < hi; ++i) {
                    sum += static_cast<uint64_t>(i);
                  }
-                 c.store(&partial[static_cast<size_t>(chunk)], sum);
+                 c.store(&partial_ptr[static_cast<size_t>(chunk)], sum);
                  c.check_point();
                });
     });
@@ -236,10 +247,13 @@ TEST(ApiRuntime, SpecForComputesCorrectSums) {
 TEST(ApiRuntime, SpecForSingleChunkRunsSequentially) {
   Runtime rt(small_opts());
   SharedArray<uint64_t> acc(rt, 1, 0);
+  uint64_t* const acc_ptr = acc.data();
   RunStats rs = rt.run([&](Ctx& ctx) {
     spec_for(rt, ctx, 0, 10, 1, ForkModel::kMixed,
              [&](Ctx& c, int, int64_t lo, int64_t hi) {
-               for (int64_t i = lo; i < hi; ++i) c.add(&acc[0], uint64_t{1});
+               for (int64_t i = lo; i < hi; ++i) {
+                 c.add(&acc_ptr[0], uint64_t{1});
+               }
              });
   });
   EXPECT_EQ(acc[0], 10u);
@@ -261,6 +275,7 @@ TEST(ApiRuntime, RollbackInjectionDegradesButStaysCorrect) {
   o.rollback_probability = 1.0;
   Runtime rt(o);
   SharedArray<uint64_t> partial(rt, 4, 0);
+  uint64_t* const partial_ptr = partial.data();
   RunStats rs = rt.run([&](Ctx& ctx) {
     spec_for(rt, ctx, 0, 100, 4, ForkModel::kMixed,
              [&](Ctx& c, int chunk, int64_t lo, int64_t hi) {
@@ -268,7 +283,7 @@ TEST(ApiRuntime, RollbackInjectionDegradesButStaysCorrect) {
                for (int64_t i = lo; i < hi; ++i) {
                  sum += static_cast<uint64_t>(i);
                }
-               c.store(&partial[static_cast<size_t>(chunk)], sum);
+               c.store(&partial_ptr[static_cast<size_t>(chunk)], sum);
              });
   });
   uint64_t total = 0;
@@ -281,15 +296,20 @@ TEST(ApiRuntime, RollbackInjectionDegradesButStaysCorrect) {
 TEST(ApiRuntime, StatsCountAccesses) {
   Runtime rt(small_opts());
   SharedArray<uint64_t> data(rt, 4, 0);
+  uint64_t* const data_ptr = data.data();
   RunStats rs = rt.run([&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
-      c.store(&data[1], c.load(&data[0]) + 1);
+      c.store(&data_ptr[1], c.load(&data_ptr[0]) + 1);
     });
-    ctx.store(&data[0], uint64_t{0});
+    ctx.store(&data_ptr[0], uint64_t{0});
     rt.join(ctx, s);
   });
   EXPECT_GE(rs.critical.stores, 1u);
-  EXPECT_GE(rs.speculative.loads + rs.critical.loads, 1u);
+  // A speculative direct read of the unwritten region is counted once per
+  // region (direct_regions), not as a load.
+  EXPECT_GE(rs.speculative.loads + rs.critical.loads +
+                rs.speculative.buffer.direct_regions,
+            1u);
 }
 
 TEST(ApiRuntime, SequentialEquivalenceUnderChaos) {
@@ -306,11 +326,12 @@ TEST(ApiRuntime, SequentialEquivalenceUnderChaos) {
     Runtime rt(o);
     const int n = 64;
     SharedArray<uint64_t> v(rt, n, 0);
+    uint64_t* const v_ptr = v.data();
     rt.run([&](Ctx& ctx) {
       spec_for(rt, ctx, 0, n, 8, ForkModel::kMixed,
                [&](Ctx& c, int, int64_t lo, int64_t hi) {
                  for (int64_t i = lo; i < hi; ++i) {
-                   c.store(&v[static_cast<size_t>(i)],
+                   c.store(&v_ptr[static_cast<size_t>(i)],
                            static_cast<uint64_t>(i * i));
                    c.check_point();
                  }
@@ -321,6 +342,237 @@ TEST(ApiRuntime, SequentialEquivalenceUnderChaos) {
           << "seed " << seed << " index " << i;
     }
   }
+}
+
+// --- Direct reads of unwritten regions ---
+//
+// A speculation reads a registered region it has not written straight from
+// memory and validates it by the region's version, not word by word. Each
+// case below pins one rule of that protocol: an end state that matches the
+// sequential oracle, plus the counters that show the version (not a word
+// compare) made the decision.
+//
+// A fork site (one lambda type) learns for the life of the process, so
+// each case forks from its own lambdas, and a case rerun in the same
+// process (--gtest_repeat) meets sites that have already learned.
+
+uint64_t sum_span(SharedSpan<uint64_t> v) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < v.size(); ++i) sum += v[i];
+  return sum;
+}
+
+void wait_for(const std::atomic<bool>& flag) {
+  while (!flag.load()) std::this_thread::yield();
+}
+
+TEST(ApiRuntimeDirectRead, NonSpeculativeStoreBeforeJoinRollsBack) {
+  Runtime rt(small_opts());
+  SharedArray<uint64_t> in(rt, 64, 0);
+  SharedArray<uint64_t> out(rt, 1, 0);
+  for (size_t i = 0; i < in.size(); ++i) in[i] = i + 1;
+  std::atomic<bool> child_read{false};
+  RunStats rs = rt.run([&](Ctx& ctx) {
+    Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+      uint64_t sum = sum_span(in.span(c));
+      if (c.speculative()) child_read = true;
+      out.span(c)[0] = sum;
+    });
+    ASSERT_TRUE(s.speculated());
+    wait_for(child_read);
+    in.span(ctx)[63] = 1000;  // after the direct reads, before the join
+    EXPECT_EQ(rt.join(ctx, s), JoinOutcome::kRolledBack);
+  });
+  EXPECT_EQ(out[0], 63u * 64u / 2u + 1000u)
+      << "the re-execution must observe the non-speculative store";
+  EXPECT_EQ(rs.speculative.buffer.direct_regions, 1u);
+  EXPECT_EQ(rs.speculative.buffer.region_rollbacks, 1u);
+  EXPECT_EQ(rs.speculative.buffer.validated_words, 0u)
+      << "the reads were buffered, not direct";
+}
+
+TEST(ApiRuntimeDirectRead, SpeculativeJoinerWriteRollsBackChild) {
+  // A forks B; B reads `in` directly; A then stores into `in` (buffered)
+  // before joining B. A's store is logically before B's read, so B must
+  // fail against A and re-execute inside A, reading A's buffered value.
+  Runtime rt(small_opts(3));
+  SharedArray<uint64_t> in(rt, 8, 1);
+  SharedArray<uint64_t> out(rt, 1, 0);
+  std::atomic<bool> b_read{false};
+  bool b_speculated = false;
+  RunStats rs = rt.run([&](Ctx& ctx) {
+    Spec a = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+      Spec b = rt.fork(c, ForkModel::kMixed, [&](Ctx& cc) {
+        uint64_t sum = sum_span(in.span(cc));
+        if (cc.speculative()) b_read = true;
+        out.span(cc)[0] = sum;
+      });
+      if (c.speculative()) b_speculated = b.speculated();
+      if (b.speculated()) wait_for(b_read);
+      in.span(c)[0] = 100;
+      rt.join(c, b);
+    });
+    ASSERT_TRUE(a.speculated());
+    rt.join(ctx, a);
+  });
+  ASSERT_TRUE(b_speculated);
+  EXPECT_EQ(out[0], 100u + 7u);
+  EXPECT_EQ(rs.speculative.commits, 1u) << "A commits";
+  EXPECT_EQ(rs.speculative.rollbacks, 1u) << "B rolls back inside A";
+  EXPECT_EQ(rs.speculative.buffer.region_rollbacks, 1u);
+}
+
+TEST(ApiRuntimeDirectRead, MergedRecordsKeepGuardingAgainstMemory) {
+  // B reads `in` directly and commits into A (A never touches `in`); the
+  // root then stores into `in` before joining A. Only the record A adopted
+  // from B at the merge can tell A's validation that B's reads went stale.
+  Runtime rt(small_opts(3));
+  SharedArray<uint64_t> in(rt, 8, 1);
+  SharedArray<uint64_t> out(rt, 2, 0);
+  std::atomic<bool> a_joined_b{false};
+  bool b_committed = false;
+  RunStats rs = rt.run([&](Ctx& ctx) {
+    Spec a = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+      Spec b = rt.fork(c, ForkModel::kMixed, [&](Ctx& cc) {
+        out.span(cc)[1] = sum_span(in.span(cc));
+      });
+      out.span(c)[0] = 5;
+      JoinOutcome r = rt.join(c, b);
+      if (c.speculative()) {
+        b_committed = b.speculated() && r != JoinOutcome::kRolledBack;
+        a_joined_b = true;
+      }
+    });
+    ASSERT_TRUE(a.speculated());
+    wait_for(a_joined_b);
+    in.span(ctx)[3] = 10;
+    EXPECT_EQ(rt.join(ctx, a), JoinOutcome::kRolledBack);
+  });
+  ASSERT_TRUE(b_committed) << "B must have merged into A";
+  EXPECT_EQ(out[0], 5u);
+  EXPECT_EQ(out[1], 7u + 10u) << "B's stale direct reads were committed";
+  EXPECT_GE(rs.speculative.buffer.region_rollbacks, 1u);
+}
+
+TEST(ApiRuntimeDirectRead, ReRegistrationUnderLiveSpeculationFails) {
+  // Unregistering recycles the range's version record; the next
+  // registration of the same range takes it back. The unregister bump must
+  // fail the live speculation even though no registered write happened.
+  Runtime rt(small_opts());
+  alignas(8) static uint64_t buf[4];
+  for (uint64_t& w : buf) w = 2;
+  rt.register_memory(buf, sizeof(buf));
+  SharedArray<uint64_t> out(rt, 1, 0);
+  std::atomic<bool> child_read{false};
+  RunStats rs = rt.run([&](Ctx& ctx) {
+    Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+      uint64_t sum = 0;
+      for (const uint64_t& w : buf) sum += c.load(&w);
+      if (c.speculative()) child_read = true;
+      out.span(c)[0] = sum;
+    });
+    ASSERT_TRUE(s.speculated());
+    wait_for(child_read);
+    rt.unregister_memory(buf, sizeof(buf));
+    ctx.store(&buf[0], uint64_t{40});  // unregistered: nothing to publish
+    rt.register_memory(buf, sizeof(buf));
+    EXPECT_EQ(rt.join(ctx, s), JoinOutcome::kRolledBack);
+  });
+  rt.unregister_memory(buf, sizeof(buf));
+  EXPECT_EQ(out[0], 40u + 3u * 2u);
+  EXPECT_EQ(rs.speculative.buffer.direct_regions, 1u);
+  EXPECT_EQ(rs.speculative.buffer.region_rollbacks, 1u);
+}
+
+TEST(ApiRuntimeDirectRead, ForkSiteThatLostStopsReadingDirectly) {
+  // One fork site (one lambda type), two runs. The first loses its direct
+  // read to a non-speculative store; the second reads through the buffer.
+  Runtime rt(small_opts());
+  SharedArray<uint64_t> in(rt, 8, 1);
+  SharedArray<uint64_t> out(rt, 1, 0);
+  for (bool conflict : {true, false}) {
+    SCOPED_TRACE(conflict ? "losing run" : "learned run");
+    std::atomic<bool> child_read{false};
+    RunStats rs = rt.run([&](Ctx& ctx) {
+      Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+        uint64_t sum = sum_span(in.span(c));
+        if (c.speculative()) child_read = true;
+        out.span(c)[0] = sum;
+      });
+      ASSERT_TRUE(s.speculated());
+      wait_for(child_read);
+      if (conflict) in.span(ctx)[0] = in.span(ctx)[0] + 1;
+      rt.join(ctx, s);
+    });
+    const SpecBufferStats& b = rs.speculative.buffer;
+    if (conflict) {
+      EXPECT_EQ(b.direct_regions, 1u);
+      EXPECT_EQ(b.region_rollbacks, 1u);
+    } else {
+      EXPECT_EQ(b.direct_regions, 0u) << "the fork site kept reading directly";
+      EXPECT_GE(rs.speculative.loads, in.size());
+      EXPECT_EQ(rs.speculative.commits, 1u);
+    }
+  }
+  EXPECT_EQ(out[0], 9u);
+}
+
+TEST(ApiRuntimeDirectRead, ChildOfBufferedSpeculationStaysBuffered) {
+  // Direct readers descend only from direct-capable forks (that is what
+  // tells the non-speculative thread to publish its stores): once the
+  // outer fork site has lost, the inner site — which never lost — still
+  // reads through the buffer when the outer speculation forks it.
+  Runtime rt(small_opts(3));
+  SharedArray<uint64_t> in(rt, 8, 1);
+  SharedArray<uint64_t> out(rt, 2, 0);
+  for (bool conflict : {true, false}) {
+    SCOPED_TRACE(conflict ? "losing run" : "learned run");
+    std::atomic<bool> outer_read{false};
+    bool inner_speculated = false;
+    RunStats rs = rt.run([&](Ctx& ctx) {
+      Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+        if (conflict) {
+          uint64_t sum = sum_span(in.span(c));
+          if (c.speculative()) outer_read = true;
+          out.span(c)[0] = sum;
+          return;
+        }
+        Spec inner = rt.fork(c, ForkModel::kMixed, [&](Ctx& cc) {
+          out.span(cc)[1] = sum_span(in.span(cc));
+        });
+        if (c.speculative()) inner_speculated = inner.speculated();
+        rt.join(c, inner);
+      });
+      ASSERT_TRUE(s.speculated());
+      if (conflict) {
+        wait_for(outer_read);
+        in.span(ctx)[0] = in.span(ctx)[0] + 1;
+      }
+      rt.join(ctx, s);
+    });
+    if (!conflict) {
+      ASSERT_TRUE(inner_speculated);
+      EXPECT_EQ(rs.speculative.buffer.direct_regions, 0u)
+          << "a child of a buffered speculation read directly";
+      EXPECT_GE(rs.speculative.loads, in.size());
+    }
+  }
+  EXPECT_EQ(out[1], 9u);
+}
+
+TEST(ApiRuntimeDirectRead, RootPublishesOnlyWhileADirectReaderCanBeLive) {
+  Runtime rt(small_opts());
+  SharedArray<uint64_t> in(rt, 8, 1);
+  rt.run([&](Ctx& ctx) {
+    const ThreadData& root = ctx.thread_data();
+    EXPECT_FALSE(root.publish_stores);
+    Spec s = rt.fork(ctx, ForkModel::kMixed,
+                     [&](Ctx& c) { (void)sum_span(in.span(c)); });
+    ASSERT_TRUE(s.speculated());
+    EXPECT_TRUE(root.publish_stores) << "a direct reader is live";
+    rt.join(ctx, s);
+    EXPECT_FALSE(root.publish_stores) << "no speculation is live";
+  });
 }
 
 }  // namespace

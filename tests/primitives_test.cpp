@@ -94,11 +94,12 @@ TEST(Enums, ForkModelNames) {
 TEST(AdoptionProtocol, JoinNextConsumesChainInOrder) {
   Runtime rt({.num_cpus = 3, .buffer_log2 = 10});
   SharedArray<uint64_t> out(rt, 3, 0);
+  uint64_t* const out_ptr = out.data();
   rt.run([&](Ctx& ctx) {
     // Build a 3-link chain by hand: each link forks the next detached.
     struct Link {
       Runtime& rt;
-      SharedArray<uint64_t>& out;
+      uint64_t* out;
       void run(Ctx& c, int i) const {
         if (i + 1 < 3) {
           rt.fork(c,
@@ -109,7 +110,7 @@ TEST(AdoptionProtocol, JoinNextConsumesChainInOrder) {
         c.store(&out[static_cast<size_t>(i)], static_cast<uint64_t>(i + 10));
       }
     };
-    Link link{rt, out};
+    Link link{rt, out_ptr};
     link.run(ctx, 0);  // the caller is link 0
     int joined = 0;
     uint64_t expected_tag = 1;
@@ -142,16 +143,17 @@ TEST(AdoptionProtocol, RolledBackLinkReportsItsTag) {
   o.rollback_probability = 1.0;  // every speculation fails
   Runtime rt(o);
   SharedArray<uint64_t> out(rt, 1, 0);
+  uint64_t* const out_ptr = out.data();
   rt.run([&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkOpts{.tag = 77, .detached = true},
-                     [&](Ctx& c) { c.store(&out[0], uint64_t{5}); });
+                     [&](Ctx& c) { c.store(&out_ptr[0], uint64_t{5}); });
     if (!s.speculated()) return;
     Runtime::AdoptedJoin j = rt.join_next(ctx);
     ASSERT_TRUE(j.joined);
     EXPECT_EQ(j.outcome, JoinOutcome::kRolledBack);
     EXPECT_EQ(j.tag, 77u);
     // Caller re-executes using the tag.
-    ctx.store(&out[0], uint64_t{5});
+    ctx.store(&out_ptr[0], uint64_t{5});
   });
   EXPECT_EQ(out[0], 5u);
 }
@@ -169,6 +171,7 @@ TEST(AdoptionProtocol, SpecForSurvivesMidChainRollback) {
     o.seed = seed;
     Runtime rt(o);
     SharedArray<uint64_t> slot(rt, 32, 0);
+    uint64_t* const slot_ptr = slot.data();
     rt.run([&](Ctx& ctx) {
       spec_for(rt, ctx, 0, 320, 32, ForkModel::kInOrder,
                [&](Ctx& c, int chunk, int64_t lo, int64_t hi) {
@@ -176,7 +179,7 @@ TEST(AdoptionProtocol, SpecForSurvivesMidChainRollback) {
                  for (int64_t i = lo; i < hi; ++i) {
                    s += static_cast<uint64_t>(i) * 7;
                  }
-                 c.store(&slot[static_cast<size_t>(chunk)], s);
+                 c.store(&slot_ptr[static_cast<size_t>(chunk)], s);
                });
     });
     uint64_t total = 0;
@@ -198,16 +201,17 @@ TEST(MergePressure, ChildCommitOverflowingParentDoomsParentNotProgram) {
   Runtime rt(o);
   const size_t n = 64;
   SharedArray<uint64_t> data(rt, n, 0);
+  uint64_t* const data_ptr = data.data();
   rt.run([&](Ctx& ctx) {
     Spec outer = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
       Spec inner = rt.fork(c, ForkModel::kMixed, [&](Ctx& cc) {
         for (size_t i = n / 2; i < n; ++i) {
-          cc.store(&data[i], static_cast<uint64_t>(i));
+          cc.store(&data_ptr[i], static_cast<uint64_t>(i));
           cc.check_point();
         }
       });
       for (size_t i = 0; i < n / 2; ++i) {
-        c.store(&data[i], static_cast<uint64_t>(i));
+        c.store(&data_ptr[i], static_cast<uint64_t>(i));
         c.check_point();
       }
       rt.join(c, inner);

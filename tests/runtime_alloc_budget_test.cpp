@@ -189,5 +189,57 @@ TEST(AllocBudget, OversizedCapturesSpillIntoArenasNotTheHeap) {
   EXPECT_EQ(alloc_events, 0u);
 }
 
+// A speculation reading more registered regions than its inline region
+// table holds: the first kRegionSlots regions are read directly, the rest
+// fall back to word buffering, and none of it touches the heap.
+TEST(AllocBudget, RegionTableOverflowFallsBackToBufferingWithoutHeap) {
+  constexpr int kRegions = SpecBuffer::kRegionSlots + 8;
+  constexpr size_t kWords = 4;
+  Runtime rt({.num_cpus = 2, .buffer_log2 = 8, .overflow_cap = 64});
+  std::vector<std::vector<uint64_t>> regions(
+      kRegions, std::vector<uint64_t>(kWords, 1));
+  for (auto& r : regions) rt.register_memory(r.data(), kWords * 8);
+  std::vector<uint64_t> sink(1, 0);
+  rt.register_memory(sink.data(), sizeof(uint64_t));
+
+  auto one_run = [&] {
+    return rt.run([&](Ctx& root) {
+      auto s = rt.fork_scoped(root, ForkModel::kMixed, [&](Ctx& c) {
+        uint64_t sum = 0;
+        for (const auto& r : regions) {
+          for (const uint64_t& w : r) sum += c.load(&w);
+        }
+        c.store(&sink[0], sum);
+      });
+    });
+  };
+  for (int i = 0; i < kWarmup; ++i) (void)one_run();
+  g_news.store(0);
+  g_counting.store(true);
+  uint64_t alloc_events = 0;
+  uint64_t direct_regions = 0;
+  uint64_t loads = 0;
+  uint64_t commits = 0;
+  for (int i = 0; i < kMeasured; ++i) {
+    RunStats rs = one_run();
+    alloc_events +=
+        rs.speculative.buffer.alloc_events + rs.critical.buffer.alloc_events;
+    direct_regions += rs.speculative.buffer.direct_regions;
+    loads += rs.speculative.loads;
+    commits += rs.speculative.commits;
+  }
+  g_counting.store(false);
+  for (auto& r : regions) rt.unregister_memory(r.data(), kWords * 8);
+  rt.unregister_memory(sink.data(), sizeof(uint64_t));
+  EXPECT_EQ(g_news.load(), 0u);
+  EXPECT_EQ(alloc_events, 0u);
+  ASSERT_GT(commits, 0u);
+  EXPECT_EQ(direct_regions, commits * SpecBuffer::kRegionSlots)
+      << "a full table must not record more regions";
+  EXPECT_EQ(loads, commits * (kRegions - SpecBuffer::kRegionSlots) * kWords)
+      << "the regions past the table must be buffered";
+  EXPECT_EQ(sink[0], static_cast<uint64_t>(kRegions) * kWords);
+}
+
 }  // namespace
 }  // namespace mutls

@@ -805,46 +805,62 @@ TEST(SpecBufferViewCacheCapacity, DoomFallbackValueIsNeverCached) {
   }
 }
 
-// The registration check runs before the cache on every access: a load of
-// the unregistered half of a word whose registered half is cached is still
-// a wild access.
+// The registration check runs before every fast path, direct or cached: a
+// load of the unregistered half of a word whose registered half was just
+// served without touching the buffer maps — straight from memory (a direct
+// region read) or from the word-view cache (once a store has moved the
+// region to the buffer) — is still a wild access.
 TEST(SpecBufferViewCacheCtx, UnregisteredHalfOfCachedWordDoomsAsWild) {
   for (BufferBackend backend : kBufferBackends) {
-    SCOPED_TRACE(buffer_backend_name(backend));
-    Runtime::Options opts;
-    opts.num_cpus = 1;
-    opts.buffer_log2 = 10;
-    opts.buffer_backend = backend;
-    Runtime rt(opts);
-    alignas(8) static uint32_t halves[2];
-    halves[0] = 11;
-    halves[1] = 22;
-    rt.register_memory(&halves[0], sizeof(uint32_t));
-    std::string reason;
-    uint64_t hits = 0;
-    RunStats rs = rt.run([&](Ctx& ctx) {
-      Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
-        EXPECT_EQ(c.load(&halves[0]), 11u);
-        EXPECT_EQ(c.load(&halves[0]), 11u);  // served by the cache
-        if (c.speculative()) {
-          hits = c.thread_data().sbuf.stats().mru_hits;
-          try {
-            c.load(&halves[1]);
-          } catch (const SpecAbort& a) {
-            reason = a.reason;
-            throw;
+    for (bool direct : {true, false}) {
+      SCOPED_TRACE(std::string(buffer_backend_name(backend)) +
+                   (direct ? "/direct" : "/cached"));
+      Runtime::Options opts;
+      opts.num_cpus = 1;
+      opts.buffer_log2 = 10;
+      opts.buffer_backend = backend;
+      Runtime rt(opts);
+      alignas(8) static uint32_t halves[2];
+      halves[0] = 11;
+      halves[1] = 22;
+      rt.register_memory(&halves[0], sizeof(uint32_t));
+      std::string reason;
+      SpecBufferStats served;
+      RunStats rs = rt.run([&](Ctx& ctx) {
+        Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+          // A store moves the region to the buffer, where the next loads
+          // are served by the word-view cache.
+          if (!direct) c.store(&halves[0], uint32_t{11});
+          EXPECT_EQ(c.load(&halves[0]), 11u);
+          EXPECT_EQ(c.load(&halves[0]), 11u);  // direct, or a cache hit
+          if (c.speculative()) {
+            served = c.thread_data().sbuf.stats();
+            try {
+              c.load(&halves[1]);
+            } catch (const SpecAbort& a) {
+              reason = a.reason;
+              throw;
+            }
+            ADD_FAILURE() << "the wild half-word load did not doom";
           }
-          ADD_FAILURE() << "the wild half-word load did not doom";
-        }
-        EXPECT_EQ(c.load(&halves[1]), 22u);  // inline re-execution
+          EXPECT_EQ(c.load(&halves[1]), 22u);  // inline re-execution
+        });
+        ASSERT_TRUE(s.speculated());
+        EXPECT_EQ(rt.join(ctx, s), JoinOutcome::kRolledBack);
       });
-      ASSERT_TRUE(s.speculated());
-      EXPECT_EQ(rt.join(ctx, s), JoinOutcome::kRolledBack);
-    });
-    rt.unregister_memory(&halves[0], sizeof(uint32_t));
-    EXPECT_GE(hits, 1u) << "the registered half was never cached";
-    EXPECT_EQ(reason, "access outside the registered address space");
-    EXPECT_EQ(rs.speculative.rollbacks, 1u);
+      rt.unregister_memory(&halves[0], sizeof(uint32_t));
+      if (direct) {
+        EXPECT_EQ(served.direct_regions, 1u)
+            << "the registered half was not read directly";
+        EXPECT_EQ(served.mru_hits + served.mru_misses, 0u)
+            << "a direct read reached the buffer";
+      } else {
+        EXPECT_EQ(served.direct_regions, 0u);
+        EXPECT_GE(served.mru_hits, 1u) << "the registered half was never cached";
+      }
+      EXPECT_EQ(reason, "access outside the registered address space");
+      EXPECT_EQ(rs.speculative.rollbacks, 1u);
+    }
   }
 }
 

@@ -176,11 +176,12 @@ TEST(GrowableLogUnderSpeculation, ResizesMidSpeculationAndCommits) {
               .overflow_cap = 8,
               .buffer_backend = BufferBackend::kGrowableLog});
   SharedArray<uint64_t> data(rt, kN, 0);
+  uint64_t* const data_ptr = data.data();
   RunStats rs = rt.run([&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
       for (size_t i = 0; i < kN; ++i) {
         // Read-modify-write: stresses read-set and write-set growth.
-        c.store(&data[i], c.load(&data[i]) + i);
+        c.store(&data_ptr[i], c.load(&data_ptr[i]) + i);
       }
     });
     rt.join(ctx, s);
@@ -205,15 +206,16 @@ TEST(GrowableLogUnderSpeculation, NestedMergeIntoGrowingJoiner) {
               .overflow_cap = 8,
               .buffer_backend = BufferBackend::kGrowableLog});
   SharedArray<uint64_t> data(rt, kN, 0);
+  uint64_t* const data_ptr = data.data();
   RunStats rs = rt.run([&](Ctx& ctx) {
     Spec outer = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
       Spec inner = rt.fork(c, ForkModel::kMixed, [&](Ctx& cc) {
         for (size_t i = kN / 2; i < kN; ++i) {
-          cc.store(&data[i], uint64_t{i} * 2);
+          cc.store(&data_ptr[i], uint64_t{i} * 2);
         }
       });
       for (size_t i = 0; i < kN / 2; ++i) {
-        c.store(&data[i], uint64_t{i} * 2);
+        c.store(&data_ptr[i], uint64_t{i} * 2);
       }
       rt.join(c, inner);  // speculative joiner: merge_into path
     });
@@ -233,12 +235,14 @@ TEST(SpecForNested, MatchesAdoptionDriverResults) {
   for (ForkModel m : {ForkModel::kInOrder, ForkModel::kMixed}) {
     Runtime rt({.num_cpus = 2, .buffer_log2 = 12});
     SharedArray<uint64_t> a(rt, 16, 0), b(rt, 16, 0);
+    uint64_t* const a_ptr = a.data();
+    uint64_t* const b_ptr = b.data();
     rt.run([&](Ctx& ctx) {
       spec_for(rt, ctx, 0, 160, 16, m,
                [&](Ctx& c, int chunk, int64_t lo, int64_t hi) {
                  uint64_t s = 0;
                  for (int64_t i = lo; i < hi; ++i) s += static_cast<uint64_t>(i * i);
-                 c.store(&a[static_cast<size_t>(chunk)], s);
+                 c.store(&a_ptr[static_cast<size_t>(chunk)], s);
                });
     });
     rt.run([&](Ctx& ctx) {
@@ -248,7 +252,7 @@ TEST(SpecForNested, MatchesAdoptionDriverResults) {
                         for (int64_t i = lo; i < hi; ++i) {
                           s += static_cast<uint64_t>(i * i);
                         }
-                        c.store(&b[static_cast<size_t>(chunk)], s);
+                        c.store(&b_ptr[static_cast<size_t>(chunk)], s);
                       });
     });
     for (size_t i = 0; i < a.size(); ++i) {
@@ -262,12 +266,13 @@ TEST(SpecForNested, InsideSpeculativeRegion) {
   // speculative threads fork).
   Runtime rt({.num_cpus = 4, .buffer_log2 = 12});
   SharedArray<uint64_t> out(rt, 8, 0);
+  uint64_t* const out_ptr = out.data();
   rt.run([&](Ctx& ctx) {
     Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
       spec_for_nested(rt, c, 0, 8, 4, ForkModel::kMixed,
                       [&](Ctx& cc, int, int64_t lo, int64_t hi) {
                         for (int64_t i = lo; i < hi; ++i) {
-                          cc.store(&out[static_cast<size_t>(i)],
+                          cc.store(&out_ptr[static_cast<size_t>(i)],
                                    static_cast<uint64_t>(i + 100));
                         }
                       });
@@ -284,6 +289,7 @@ TEST(SpecForNested, InsideSpeculativeRegion) {
 TEST(StatsIdentities, MetricsAreConsistent) {
   Runtime rt({.num_cpus = 2, .buffer_log2 = 12});
   SharedArray<uint64_t> data(rt, 64, 0);
+  uint64_t* const data_ptr = data.data();
   RunStats rs = rt.run([&](Ctx& ctx) {
     spec_for(rt, ctx, 0, 640, 8, ForkModel::kMixed,
              [&](Ctx& c, int chunk, int64_t lo, int64_t hi) {
@@ -291,7 +297,7 @@ TEST(StatsIdentities, MetricsAreConsistent) {
                for (int64_t i = lo; i < hi; ++i) {
                  s += static_cast<uint64_t>(i) * 3;
                }
-               c.store(&data[static_cast<size_t>(chunk)], s);
+               c.store(&data_ptr[static_cast<size_t>(chunk)], s);
              });
   });
   // Efficiencies are fractions of runtime.
@@ -315,10 +321,11 @@ TEST(StatsIdentities, MetricsAreConsistent) {
 TEST(StatsIdentities, RepeatedRunsResetCleanly) {
   Runtime rt({.num_cpus = 2, .buffer_log2 = 10});
   SharedArray<uint64_t> x(rt, 1, 0);
+  uint64_t* const x_ptr = x.data();
   for (int i = 0; i < 3; ++i) {
     RunStats rs = rt.run([&](Ctx& ctx) {
       Spec s = rt.fork(ctx, ForkModel::kMixed,
-                       [&](Ctx& c) { c.add(&x[0], uint64_t{1}); });
+                       [&](Ctx& c) { c.add(&x_ptr[0], uint64_t{1}); });
       rt.join(ctx, s);
     });
     EXPECT_LE(rs.speculative_threads, 1u) << "stats must reset per run";
@@ -331,10 +338,11 @@ TEST(StatsIdentities, RepeatedRunsResetCleanly) {
 TEST(Churn, ThousandsOfSpeculationsReuseSlotsSafely) {
   Runtime rt({.num_cpus = 2, .buffer_log2 = 8});
   SharedArray<uint64_t> cell(rt, 4, 0);
+  uint64_t* const cell_ptr = cell.data();
   rt.run([&](Ctx& ctx) {
     for (int i = 0; i < 2000; ++i) {
       Spec s = rt.fork(ctx, ForkModel::kMixed, [&, i](Ctx& c) {
-        c.store(&cell[static_cast<size_t>(i % 4)],
+        c.store(&cell_ptr[static_cast<size_t>(i % 4)],
                 static_cast<uint64_t>(i));
       });
       rt.join(ctx, s);

@@ -163,5 +163,64 @@ TEST_P(IntervalSetProperty, MatchesByteModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetProperty,
                          ::testing::Range(1, 9));
 
+// SpanMap keeps one entry per insertion: the region records of the
+// runtime hang off it, so spans must keep their identity.
+TEST(SpanMap, AdjacentSpansStayDistinct) {
+  SpanMap<int> m;
+  int a = 1, b = 2;
+  EXPECT_TRUE(m.insert(0x1000, 0x100, &a));
+  EXPECT_TRUE(m.insert(0x1100, 0x100, &b));  // exactly adjacent
+  SpanMap<int>::Hit h = m.find(0x10ff);
+  EXPECT_EQ(h.value, &a);
+  EXPECT_EQ(h.lo, 0x1000u);
+  EXPECT_EQ(h.hi, 0x1100u);
+  EXPECT_EQ(m.find(0x1100).value, &b);
+}
+
+TEST(SpanMap, OverlappingOrEmptyInsertIsRefused) {
+  SpanMap<int> m;
+  int a = 1, b = 2;
+  EXPECT_TRUE(m.insert(0x1000, 0x100, &a));
+  EXPECT_FALSE(m.insert(0x10f0, 0x20, &b));
+  EXPECT_FALSE(m.insert(0x0ff0, 0x20, &b));
+  EXPECT_FALSE(m.insert(0x2000, 0, &b));
+  EXPECT_EQ(m.find(0x10f8).value, &a);
+  EXPECT_EQ(m.find(0x2000).value, nullptr);
+}
+
+TEST(SpanMap, MissReportsTheGapBetweenNeighbours) {
+  SpanMap<int> m;
+  int a = 1, b = 2;
+  m.insert(0x1000, 0x100, &a);
+  m.insert(0x2000, 0x100, &b);
+  SpanMap<int>::Hit gap = m.find(0x1800);
+  EXPECT_EQ(gap.value, nullptr);
+  EXPECT_EQ(gap.lo, 0x1100u);
+  EXPECT_EQ(gap.hi, 0x2000u);
+  SpanMap<int>::Hit below = m.find(0x10);
+  EXPECT_EQ(below.lo, 0u);
+  EXPECT_EQ(below.hi, 0x1000u);
+  SpanMap<int>::Hit above = m.find(0x3000);
+  EXPECT_EQ(above.lo, 0x2100u);
+  EXPECT_EQ(above.hi, UINTPTR_MAX);
+}
+
+TEST(SpanMap, EraseAndVisitOverlappingSpans) {
+  SpanMap<int> m;
+  int v[3] = {0, 1, 2};
+  for (int i = 0; i < 3; ++i) {
+    m.insert(0x1000 + 0x100 * static_cast<uintptr_t>(i), 0x100, &v[i]);
+  }
+  int visited = 0;
+  m.for_each_overlapping(0x10ff, 2, [&](int* p) { visited += 1 << *p; });
+  EXPECT_EQ(visited, 0b011);
+  int erased = 0;
+  m.erase_overlapping(0x1180, 0x100, [&](int* p) { erased += 1 << *p; });
+  EXPECT_EQ(erased, 0b110);
+  EXPECT_EQ(m.find(0x1000).value, &v[0]);
+  EXPECT_EQ(m.find(0x1100).value, nullptr);
+  EXPECT_EQ(m.find(0x1200).value, nullptr);
+}
+
 }  // namespace
 }  // namespace mutls
