@@ -248,14 +248,12 @@ void BM_AddressSpaceLookup(benchmark::State& state) {
   for (int i = 0; i < 16; ++i) {
     arrays.push_back(new SharedArray<uint64_t>(rt, 256, 0));
   }
-  const IntervalSet& space = rt.manager().address_space();
+  const RegionSpace& space = rt.manager().address_space();
   size_t i = 0;
   for (auto _ : state) {
-    uintptr_t lo, hi;
-    bool ok = space.lookup(
-        reinterpret_cast<uintptr_t>(arrays[i & 15]->data()) + 64, 8, &lo,
-        &hi);
-    benchmark::DoNotOptimize(ok);
+    RegionSpace::Hit h = space.find(
+        reinterpret_cast<uintptr_t>(arrays[i & 15]->data()) + 64);
+    benchmark::DoNotOptimize(h);
     ++i;
   }
   for (auto* a : arrays) delete a;

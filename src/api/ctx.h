@@ -19,11 +19,16 @@
 //     the generation on, so no stale decision survives it.
 //   buffered — the word-view cache, the aligned-word path, spans and bytes
 //     of SpecBuffer.
-// The registration check runs before either tier. A non-speculative store
-// publishes its write by bumping the region's version after the data —
-// only while a speculation that may read directly can be live
-// (ThreadData::publish_stores), so a run whose fork sites all lost their
-// direct reads pays one flag test per store.
+// A speculation that may not read directly (its fork site lost a direct
+// read, or its forker may not read directly: SpecBuffer::set_fork_site)
+// skips the region checks altogether — one flag, fixed for the Ctx's
+// life, picks the buffered tier for every access and leaves its stores
+// untracked, to be published at commit. The registration check runs
+// before either tier. A non-speculative store publishes its write by
+// bumping the region's version after the data — only while a speculation
+// that may read directly can be live (ThreadData::publish_stores), so a
+// run whose fork sites all lost their direct reads pays one flag test per
+// store.
 //
 // Layering: ctx.h (this file) -> spec.h (fork/join/Runtime) -> shared.h
 // (typed views) -> parallel.h (loop drivers + mutls::par algorithms), all
@@ -74,7 +79,7 @@ class Ctx {
     }
     uintptr_t a = reinterpret_cast<uintptr_t>(p);
     int e = check_registered(a, sizeof(T));
-    if (reads_direct(e)) return relaxed_load_scalar(p);
+    if (direct_ && reads_direct(e)) return relaxed_load_scalar(p);
     ++td_->stats.loads;
     T out;
     if constexpr (kWordSized<T>) {
@@ -99,7 +104,8 @@ class Ctx {
       if (td_->publish_stores) publish(a, sizeof(T));
       return;
     }
-    note_store(check_registered(a, sizeof(T)));
+    int e = check_registered(a, sizeof(T));
+    if (direct_) note_store(e);
     if constexpr (kWordSized<T>) {
       if (word_sized_aligned(a, sizeof(T))) {
         uint64_t raw = 0;
@@ -127,7 +133,7 @@ class Ctx {
     }
     uintptr_t a = reinterpret_cast<uintptr_t>(p);
     int e = check_registered(a, count * sizeof(T));
-    if (reads_direct(e)) {
+    if (direct_ && reads_direct(e)) {
       relaxed_load_bytes(p, out, count * sizeof(T));
       return;
     }
@@ -147,7 +153,8 @@ class Ctx {
       if (td_->publish_stores) publish(a, count * sizeof(T));
       return;
     }
-    note_store(check_registered(a, count * sizeof(T)));
+    int e = check_registered(a, count * sizeof(T));
+    if (direct_) note_store(e);
     td_->sbuf.store_span(a, src, count * sizeof(T));
     if (td_->sbuf.doomed()) throw SpecAbort{td_->sbuf.doom_reason()};
   }
@@ -271,6 +278,9 @@ class Ctx {
   // decision; 0 = none yet.
   uint64_t span_mode_[kSpanCache] = {};
   int span_next_ = 0;
+  // The speculation may read regions directly (see the tier list above);
+  // decided once, when the Ctx is made for it.
+  bool direct_ = false;
   // Address-space epoch the cache entries were filled under; a mismatch
   // (some region was unregistered or registered since) flushes them.
   uint64_t span_epoch_ = 0;

@@ -1,7 +1,5 @@
 #include "api/ctx.h"
 
-#include <algorithm>
-
 #include "api/spec.h"
 
 namespace mutls {
@@ -33,34 +31,27 @@ int Ctx::fill_span(uintptr_t lo, uintptr_t hi, RegionRecord* rec) {
 
 int Ctx::check_registered_slow(uintptr_t a, size_t n) {
   sync_span_epoch();
-  ThreadManager& mgr = rt_->manager();
-  // A region record proves its whole span registered (records are added
-  // after, and dropped before, their address-space span).
-  RegionDirectory::Hit h = mgr.regions().find(a);
-  if (h.value != nullptr && a + n <= h.hi) {
-    return fill_span(h.lo, h.hi, h.value);
-  }
-  uintptr_t lo = 0;
-  uintptr_t hi = 0;
-  if (!mgr.address_space().lookup(a, n, &lo, &hi)) {
+  const RegionSpace& space = rt_->manager().address_space();
+  RegionSpace::Hit h = space.find(a);
+  // One span (a region's owned span, or a plain stretch without a record)
+  // is cached whole; an access straddling adjacent spans is cached as
+  // itself, with no record.
+  if (h.registered && a + n <= h.hi) return fill_span(h.lo, h.hi, h.value);
+  if (!h.registered || !space.contains(a, n)) {
     // Wild speculative access (paper IV-G1): roll back instead of faulting.
     td_->sbuf.doom("access outside the registered address space");
     throw SpecAbort{td_->sbuf.doom_reason()};
   }
-  // Narrow the registered span to one region record, or to the record-free
-  // stretch around the access; an access straddling records is cached as
-  // itself, with no record.
-  if (a + n > h.hi) return fill_span(a, a + n, nullptr);
-  return fill_span(std::max(lo, h.lo), std::min(hi, h.hi), h.value);
+  return fill_span(a, a + n, nullptr);
 }
 
 void Ctx::publish_slow(uintptr_t a, size_t n) {
   sync_span_epoch();
-  const RegionDirectory& regions = rt_->manager().regions();
-  RegionDirectory::Hit h = regions.find(a);
+  const RegionSpace& space = rt_->manager().address_space();
+  RegionSpace::Hit h = space.find(a);
   if (a + n > h.hi) {
-    // Straddles records: bump each one, cache nothing.
-    regions.publish_range(a, n);
+    // Straddles spans: bump each record, cache nothing.
+    publish_range(space, a, n);
     return;
   }
   fill_span(h.lo, h.hi, h.value);

@@ -254,16 +254,20 @@ class Runtime {
     // validation to a region (a version moved, or a speculative joiner
     // wrote it), the site's later speculations read every region through
     // the buffer (see "Direct reads of unwritten regions" in the README).
-    // A child that may read directly makes the non-speculative forker
+    // The lesson lives as long as the process, not the Runtime: a program
+    // that builds a new Runtime per phase would otherwise re-pay it, and
+    // the re-learning repetition grows the buffers of the next one. A
+    // child that may read directly makes the non-speculative forker
     // publish its stores while the child can be live.
     static std::atomic<bool> site_lost_direct{false};
+    std::atomic<bool>* site_lost = &site_lost_direct;
     ThreadData& forker = ctx.thread_data();
     // MUTLS_set_regvar_*: the proxy stores predicted live-ins into the
     // child's RegisterBuffer before the stub starts consuming them.
-    auto setup = [&predictions, tag, &forker](ThreadData& child) {
+    auto setup = [&predictions, tag, &forker, site_lost](ThreadData& child) {
       const bool forker_direct =
           !forker.is_speculative() || forker.sbuf.direct_reads_allowed();
-      if (child.sbuf.set_fork_site(&site_lost_direct, forker_direct) &&
+      if (child.sbuf.set_fork_site(site_lost, forker_direct) &&
           !forker.is_speculative()) {
         forker.publish_stores = true;
       }
@@ -432,7 +436,10 @@ class Runtime {
 };
 
 inline Ctx::Ctx(Runtime& rt, ThreadData& td)
-    : rt_(&rt), td_(&td), space_epoch_(rt.manager().space_epoch_word()) {}
+    : rt_(&rt),
+      td_(&td),
+      space_epoch_(rt.manager().space_epoch_word()),
+      direct_(td.is_speculative() && td.sbuf.direct_reads_allowed()) {}
 
 // RAII speculation scope: holds the join obligation of one fork. Leaving
 // scope normally joins (commit, or inline re-execution on rollback);

@@ -8,7 +8,9 @@
 //     exec::store_mem) bumps it after the data, while a speculation that
 //     may read directly can be live (ThreadData::publish_stores; with none
 //     live, no version record exists that the store could invalidate);
-//   - a commit bumps every region its speculation wrote, after the data;
+//   - a commit bumps every region its speculation wrote, after the data
+//     (writes no region slot attributed are looked up in the address
+//     space, only while a speculation that may read directly can be live);
 //   - unregistering the region bumps it before the record is recycled, so
 //     a speculation still holding the record fails instead of validating
 //     against the record's next registration.
@@ -42,81 +44,70 @@ inline void publish_region_write(RegionRecord* r) {
                    std::memory_order_release);
 }
 
-// The manager-owned map from registered spans to their records. Records
-// live in chunks that are never freed while the directory lives (speculation
-// tables and Ctx span caches hold raw pointers to them); an unregistered
-// record goes to a free list and is reused by a later registration.
-class RegionDirectory {
+// The registered address space: plain spans plus one owned span per
+// versioned registration, whose payload is the region's record
+// ("support/interval_set.h").
+using RegionSpace = IntervalMap<RegionRecord>;
+
+// Bumps every record overlapping [addr, addr+n): the publication of a
+// write that no span cache attributed to a single record.
+inline void publish_range(const RegionSpace& space, uintptr_t addr,
+                          size_t n) {
+  if (!space.has_owned()) return;
+  space.for_each_owned(addr, n, publish_region_write);
+}
+
+// Publishes the write of the word at `word_addr`, skipping it when `last`
+// (the caller's previous hit, empty at first) already covers it: a write
+// set walked in about-address order bumps each record about once.
+inline void publish_word(const RegionSpace& space, uintptr_t word_addr,
+                         RegionSpace::Hit& last) {
+  constexpr size_t kWord = sizeof(uint64_t);
+  if (word_addr >= last.lo && word_addr + kWord <= last.hi) return;
+  RegionSpace::Hit h = space.find(word_addr);
+  if (word_addr + kWord > h.hi) {
+    publish_range(space, word_addr, kWord);  // straddles spans
+    return;
+  }
+  if (h.value != nullptr) publish_region_write(h.value);
+  last = h;
+}
+
+// The manager-owned storage of region records. Records live in chunks that
+// are never freed while the pool lives (speculation tables and Ctx span
+// caches hold raw pointers to them); a released record — bumped by its
+// releaser — is reused by a later registration.
+class RegionPool {
  public:
-  using Hit = SpanMap<RegionRecord>::Hit;
+  // The first chunk is made up front, so the first registrations allocate
+  // nothing between the objects they register.
+  RegionPool() { grow(); }
 
-  // Gives [p, p+n) its own record. A span overlapping an existing record
-  // gets none: its bytes are then served by word buffering, and writes
-  // into the existing record's bytes still bump that record.
-  void add(const void* p, size_t n) {
+  RegionRecord* acquire() {
     std::lock_guard lock(mu_);
-    if (free_.empty()) {
-      chunks_.push_back(std::make_unique<RegionRecord[]>(kChunk));
-      for (size_t i = kChunk; i-- > 0;) free_.push_back(&chunks_.back()[i]);
-    }
+    if (free_.empty()) grow();
     RegionRecord* r = free_.back();
-    if (map_.insert(reinterpret_cast<uintptr_t>(p), n, r)) {
-      free_.pop_back();
-      live_.fetch_add(1, std::memory_order_relaxed);
-    }
+    free_.pop_back();
+    return r;
   }
 
-  // Drops every record overlapping [p, p+n), bumping each one first.
-  void remove(const void* p, size_t n) {
-    if (empty()) return;
+  void release(RegionRecord* r) {
     std::lock_guard lock(mu_);
-    map_.erase_overlapping(reinterpret_cast<uintptr_t>(p), n,
-                           [&](RegionRecord* r) {
-                             r->version.fetch_add(1,
-                                                  std::memory_order_acq_rel);
-                             free_.push_back(r);
-                             live_.fetch_sub(1, std::memory_order_relaxed);
-                           });
+    free_.push_back(r);
   }
-
-  // The record whose span contains `addr`, or the record-free gap around it.
-  Hit find(uintptr_t addr) const {
-    if (empty()) return Hit{0, UINTPTR_MAX, nullptr};
-    return map_.find(addr);
-  }
-
-  // Bumps every record overlapping [addr, addr+n): the publication of a
-  // write that no span cache attributed to a single record.
-  void publish_range(uintptr_t addr, size_t n) const {
-    if (empty()) return;
-    map_.for_each_overlapping(addr, n, publish_region_write);
-  }
-
-  // Publishes the write of the word at `word_addr`, skipping it when `last`
-  // (the caller's previous hit, empty at first) already covers it: a write
-  // set walked in about-address order bumps each record about once.
-  void publish_word(uintptr_t word_addr, Hit& last) const {
-    constexpr size_t kWord = sizeof(uint64_t);
-    if (word_addr >= last.lo && word_addr + kWord <= last.hi) return;
-    Hit h = find(word_addr);
-    if (word_addr + kWord > h.hi) {
-      publish_range(word_addr, kWord);  // straddles records
-      return;
-    }
-    if (h.value != nullptr) publish_region_write(h.value);
-    last = h;
-  }
-
-  bool empty() const { return live_.load(std::memory_order_relaxed) == 0; }
 
  private:
   static constexpr size_t kChunk = 64;
 
-  SpanMap<RegionRecord> map_;
-  std::mutex mu_;  // serializes add/remove (storage and free list)
+  void grow() {
+    chunks_.push_back(std::make_unique<RegionRecord[]>(kChunk));
+    free_.reserve(free_.size() + kChunk);
+    for (size_t i = kChunk; i-- > 0;) free_.push_back(&chunks_.back()[i]);
+  }
+
+  std::mutex mu_;
   std::vector<std::unique_ptr<RegionRecord[]>> chunks_;
   std::vector<RegionRecord*> free_;
-  std::atomic<size_t> live_{0};
 };
 
 }  // namespace mutls

@@ -81,11 +81,15 @@
 // the joiner's table. merge_into() carries the child's records up: the first
 // recorded version wins, written marks are merged, and a written mark that
 // reaches the joiner ends the joiner's own direct reads of that region.
-// commit_to_memory() bumps the version of every region it wrote. A failure
+// commit_to_memory() bumps the version of every region it wrote; a
+// speculation that may not read directly never tells its buffer which
+// regions it writes, so its writes count as untracked. A failure
 // caused by a region also turns direct reads off for the failing
-// speculation's fork site. Direct reads are off until set_fork_site turns
-// them on: the fork site has not lost one, and the forker may read
-// directly too (the non-speculative thread always may).
+// speculation's fork site, and so does a rollback that skipped validation
+// (a doomed speculation) when one of its recorded versions has moved.
+// Direct reads are off until set_fork_site turns them on: the fork site
+// has not lost one, and the forker may read directly too (the
+// non-speculative thread always may).
 //
 // Value prediction (PredictPolicy, off by default) is a policy layer over
 // the same primitives: a confident per-slot ValuePredictor entry lets a
@@ -389,8 +393,8 @@ class SpecBuffer {
   // the set is large enough for the ordered walk to beat the sort — then
   // publishes them: every region this speculation wrote gets its version
   // bumped. Stores no region slot attributed are published word by word
-  // through `regions` (the manager's directory), when given.
-  void commit_to_memory(const RegionDirectory* regions = nullptr) {
+  // through `space` (the manager's registered address space), when given.
+  void commit_to_memory(const RegionSpace* space = nullptr) {
     dispatch([&](auto& b) {
       auto commit_one = [](uintptr_t word_addr, uint64_t data, uint64_t mark) {
         if (mark == kFullMark) {
@@ -421,11 +425,11 @@ class SpecBuffer {
     for (int i = 0; i < region_count_; ++i) {
       if (regions_[i].written) publish_region_write(regions_[i].rec);
     }
-    if (untracked_writes_ && regions != nullptr && !regions->empty()) {
+    if (untracked_writes_ && space != nullptr && space->has_owned()) {
       dispatch([&](auto& b) {
-        RegionDirectory::Hit last;
+        RegionSpace::Hit last;
         b.for_each_write([&](uintptr_t word_addr, uint64_t, uint64_t) {
-          regions->publish_word(word_addr, last);
+          publish_word(*space, word_addr, last);
         });
       });
     }
@@ -477,20 +481,21 @@ class SpecBuffer {
     view_cache_.clear();
     predicted_.clear();
     region_count_ = 0;
-    untracked_writes_ = false;
+    untracked_writes_ = direct_off_;
     ++region_gen_;
     dispatch([](auto& b) { b.reset(); });
   }
 
   // Re-arms this buffer for the next speculation on its virtual-CPU slot:
   // resets buffered state, zeroes the per-speculation counters and forgets
-  // the previous speculation's fork site (direct reads stay off until
-  // set_fork_site turns them on).
+  // the previous speculation's fork site (direct reads stay off, and writes
+  // untracked, until set_fork_site turns them on).
   void rearm() {
     reset();
     clear_stats();
     fork_site_ = nullptr;
     direct_off_ = true;
+    untracked_writes_ = true;
   }
 
   // --- direct reads of unwritten regions (see the tier list above) ---
@@ -550,14 +555,33 @@ class SpecBuffer {
   // speculation off direct reads, and a validation this speculation loses
   // to a region sets it. `forker_direct` is false when the forker is a
   // speculation that may not read directly; its children may not either.
-  // Returns whether this speculation may read directly.
+  // A speculation that may not read directly keeps its caller (Ctx) off
+  // the region checks altogether, so its stores are untracked from the
+  // start: its commit publishes them through the address space, and its
+  // merge ends the joiner's direct reads. Returns whether this speculation
+  // may read directly.
   bool set_fork_site(std::atomic<bool>* lost_direct, bool forker_direct) {
     fork_site_ = lost_direct;
     direct_off_ =
         !forker_direct || lost_direct->load(std::memory_order_relaxed);
+    untracked_writes_ = direct_off_;
     return !direct_off_;
   }
   bool direct_reads_allowed() const { return !direct_off_; }
+
+  // A speculation rolled back without validation (doomed, forced or
+  // injected) still teaches its fork site when a region it read directly
+  // has moved since: the rollback hid a direct read it would have lost.
+  void learn_from_unvalidated_rollback() {
+    for (int i = 0; i < region_count_; ++i) {
+      const RegionSlot& r = regions_[i];
+      if (r.read &&
+          r.rec->version.load(std::memory_order_acquire) != r.version) {
+        teach_fork_site();
+        return;
+      }
+    }
+  }
 
   bool doomed() const {
     return dispatch([](const auto& b) { return b.doomed(); });
@@ -789,6 +813,9 @@ class SpecBuffer {
   // A validation lost to a region: count it and teach the fork site.
   void lose_direct_reads() {
     ++stats_.region_rollbacks;
+    teach_fork_site();
+  }
+  void teach_fork_site() {
     if (fork_site_ != nullptr) {
       fork_site_->store(true, std::memory_order_relaxed);
     }
@@ -825,7 +852,9 @@ class SpecBuffer {
 
   RegionSlot regions_[kRegionSlots];
   int region_count_ = 0;
-  bool untracked_writes_ = false;
+  // Some store of this speculation is not attributed to a region slot;
+  // always set while direct reads are off (see set_fork_site).
+  bool untracked_writes_ = true;
   bool direct_off_ = true;  // direct reads off: see set_fork_site
   uint64_t region_gen_ = 1;
   std::atomic<bool>* fork_site_ = nullptr;

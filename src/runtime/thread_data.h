@@ -65,7 +65,8 @@ struct ThreadData {
   bool inject_rollback = false;
 
   // Non-speculative thread only: set while a speculation that may read
-  // regions directly can be live, so this thread's stores must publish
+  // regions directly can be live, so this thread's stores, and the
+  // commits into memory of writes no region slot attributed, must publish
   // (bump their region's version, "runtime/region.h"). Set when the thread
   // forks such a speculation; cleared at run start and at a join that
   // leaves no speculation live. Every direct reader descends from such a

@@ -296,6 +296,7 @@ void ThreadManager::barrier_and_settle(Cpu& c, Task& task) {
     uint64_t v0 = now_ns();
     if (td.doomed() || td.force_rollback || td.inject_rollback) {
       valid = false;
+      td.sbuf.learn_from_unvalidated_rollback();
     } else if (j->rank == 0) {
       valid = td.sbuf.validate_against_memory();
     } else {
@@ -307,7 +308,10 @@ void ThreadManager::barrier_and_settle(Cpu& c, Task& task) {
   if (valid) {
     uint64_t c0 = now_ns();
     if (j->rank == 0) {
-      td.sbuf.commit_to_memory(&regions_);
+      // The commit publishes writes no region slot attributed only while
+      // a speculation that may read directly can be live (the root's
+      // publish_stores; the root is parked at this barrier).
+      td.sbuf.commit_to_memory(j->publish_stores ? &space_ : nullptr);
     } else {
       td.sbuf.merge_into(j->sbuf);
     }
@@ -481,16 +485,24 @@ void ThreadManager::register_space(const void* p, size_t n) {
 }
 
 void ThreadManager::register_region(const void* p, size_t n) {
-  space_.insert(reinterpret_cast<uintptr_t>(p), n);
-  regions_.add(p, n);
+  // A span overlapping another region gets no record: its bytes are
+  // registered plain and served by word buffering.
+  RegionRecord* r = records_.acquire();
+  if (!space_.insert_owned(reinterpret_cast<uintptr_t>(p), n, r)) {
+    records_.release(r);
+    space_.insert(reinterpret_cast<uintptr_t>(p), n);
+  }
   // A Ctx may have cached the record-free gap this region now fills.
   space_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void ThreadManager::unregister_space(const void* p, size_t n) {
-  // Records go first: a record must never outlive its registered span.
-  regions_.remove(p, n);
-  space_.erase(reinterpret_cast<uintptr_t>(p), n);
+  // A dropped record is bumped before it can be reused, so a speculation
+  // still holding it fails instead of validating against its next region.
+  space_.erase(reinterpret_cast<uintptr_t>(p), n, [this](RegionRecord* r) {
+    r->version.fetch_add(1, std::memory_order_acq_rel);
+    records_.release(r);
+  });
   // Invalidate every Ctx's cached positive lookups: a span that was
   // registered when cached may cover this region.
   space_epoch_.fetch_add(1, std::memory_order_acq_rel);

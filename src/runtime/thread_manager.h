@@ -199,21 +199,20 @@ class ThreadManager {
 
   // Address-space registration (paper IV-G1). register_space makes the
   // span legal for speculative access; register_region additionally gives
-  // it its own version record (see "runtime/region.h"), which lets
-  // speculations read it directly while they have not written it.
-  // unregister_space drops both.
+  // it its own version record (an owned span, see "runtime/region.h"),
+  // which lets speculations read it directly while they have not written
+  // it. unregister_space drops both.
   void register_space(const void* p, size_t n);
   void register_region(const void* p, size_t n);
   void unregister_space(const void* p, size_t n);
   bool space_contains(const void* p, size_t n) const;
-  const IntervalSet& address_space() const { return space_; }
-  const RegionDirectory& regions() const { return regions_; }
+  const RegionSpace& address_space() const { return space_; }
 
   // Publishes a non-speculative write of [p, p+n) by a path that keeps no
   // span cache (the IR executor): bumps the version of every region it
   // touches. Free while no region is registered.
   void publish_write(const void* p, size_t n) const {
-    regions_.publish_range(reinterpret_cast<uintptr_t>(p), n);
+    publish_range(space_, reinterpret_cast<uintptr_t>(p), n);
   }
 
   // Bumped on every unregistration and region registration; per-Ctx span
@@ -363,9 +362,9 @@ class ThreadManager {
   uint64_t spec_thread_count_ = 0;  // guarded by stats_mu_
   uint64_t run_start_ns_ = 0;
 
-  IntervalSet space_;
+  RegionSpace space_;
   std::atomic<uint64_t> space_epoch_{0};
-  RegionDirectory regions_;
+  RegionPool records_;
 };
 
 }  // namespace mutls

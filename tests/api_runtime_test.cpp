@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <thread>
 
 namespace mutls {
@@ -515,6 +516,82 @@ TEST(ApiRuntimeDirectRead, ForkSiteThatLostStopsReadingDirectly) {
     }
   }
   EXPECT_EQ(out[0], 9u);
+}
+
+TEST(ApiRuntimeDirectRead, UnvalidatedRollbackStillTeachesTheForkSite) {
+  // Every speculation is rolled back without validation (injected), so no
+  // validation can lose to a region; the moved version of a region the
+  // first speculation read directly must still teach the site.
+  Runtime::Options o = small_opts();
+  o.rollback_probability = 1.0;
+  Runtime rt(o);
+  SharedArray<uint64_t> in(rt, 8, 1);
+  SharedArray<uint64_t> out(rt, 1, 0);
+  for (bool conflict : {true, false}) {
+    SCOPED_TRACE(conflict ? "losing run" : "learned run");
+    std::atomic<bool> child_read{false};
+    RunStats rs = rt.run([&](Ctx& ctx) {
+      Spec s = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+        uint64_t sum = sum_span(in.span(c));
+        if (c.speculative()) child_read = true;
+        out.span(c)[0] = sum;
+      });
+      ASSERT_TRUE(s.speculated());
+      wait_for(child_read);
+      if (conflict) in.span(ctx)[0] = 2;
+      EXPECT_EQ(rt.join(ctx, s), JoinOutcome::kRolledBack);
+    });
+    EXPECT_EQ(rs.speculative.buffer.region_rollbacks, 0u)
+        << "no validation ran";
+    EXPECT_EQ(rs.speculative.buffer.direct_regions, conflict ? 1u : 0u);
+  }
+  EXPECT_EQ(out[0], 9u);
+}
+
+TEST(ApiRuntimeDirectRead, BufferedSpeculationsCommitPublishesItsStores) {
+  // D, from a site that never lost, reads `in` directly. C, from a site
+  // that has lost (round 0 teaches it), is logically before D and stores
+  // into `in` through the buffer without telling it which region it
+  // wrote. C's commit must still move the region's version, or D would
+  // commit a sum that misses C's store.
+  Runtime rt(small_opts(3));
+  SharedArray<uint64_t> in(rt, 8, 1);
+  SharedArray<uint64_t> out(rt, 2, 0);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "teaching run" : "publishing run");
+    std::atomic<bool> c_read{false};
+    std::atomic<bool> d_read{false};
+    RunStats rs = rt.run([&](Ctx& ctx) {
+      std::optional<Spec> d;
+      if (round == 1) {
+        d.emplace(rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+          uint64_t sum = sum_span(in.span(c));
+          if (c.speculative()) d_read = true;
+          out.span(c)[1] = sum;
+        }));
+        ASSERT_TRUE(d->speculated());
+        wait_for(d_read);
+      }
+      Spec cs = rt.fork(ctx, ForkModel::kMixed, [&](Ctx& c) {
+        uint64_t sum = sum_span(in.span(c));
+        if (c.speculative()) c_read = true;
+        out.span(c)[0] = sum;
+        in.span(c)[0] = in.span(c)[0] + 10;
+      });
+      ASSERT_TRUE(cs.speculated());
+      wait_for(c_read);
+      if (round == 0) in.span(ctx)[1] = 2;  // C loses: its site learns
+      rt.join(ctx, cs);
+      if (d) rt.join(ctx, *d);
+    });
+    if (round == 1) {
+      EXPECT_EQ(rs.speculative.commits, 1u) << "C commits";
+      EXPECT_EQ(rs.speculative.buffer.direct_regions, 1u) << "D's record";
+      EXPECT_EQ(rs.speculative.buffer.region_rollbacks, 1u);
+    }
+  }
+  EXPECT_EQ(out[0], 11u + 2u + 6u);
+  EXPECT_EQ(out[1], 21u + 2u + 6u) << "D committed reads that miss C's store";
 }
 
 TEST(ApiRuntimeDirectRead, ChildOfBufferedSpeculationStaysBuffered) {
